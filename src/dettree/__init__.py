@@ -3,18 +3,15 @@ estimation over binary cuboid partitions, with unconditional and conditional
 smooth-bootstrap sample generation.
 """
 
-from .build import BuildConfig, Ensemble, build_tree, estimate_theta, root_cuboid, split_pvalue
+from .build import BuildConfig, Ensemble, build_tree, estimate_theta, root_cuboid
 from .core import (
     Cuboid,
     DetNode,
     DetTree,
     DistributionElement,
-    MarginalModel,
     MarginalOrder,
     Split,
-    det_density,
     det_density_many,
-    element_density,
     leaf_mass,
     marginal_cdf,
     marginal_density,
@@ -36,7 +33,6 @@ from .sampling import (
     Condition,
     WeightedLeafSet,
     categorical_pick,
-    conditional_marginal_estimate,
     find_conditioned_leaves,
     sample_conditional,
     sample_unconditional,
@@ -56,18 +52,14 @@ __all__ = [
     "Ensemble",
     "GaussianSpec",
     "KsResult",
-    "MarginalModel",
     "MarginalOrder",
     "Split",
     "WeightedLeafSet",
     "build_tree",
     "categorical_pick",
-    "conditional_marginal_estimate",
-    "det_density",
     "det_density_many",
     "dirichlet_conditional_cdf",
     "dirichlet_pdf",
-    "element_density",
     "estimate_theta",
     "find_conditioned_leaves",
     "gaussian_conditional",
@@ -86,7 +78,6 @@ __all__ = [
     "sample_gaussian",
     "sample_moments",
     "sample_unconditional",
-    "split_pvalue",
     "validate_tree",
     "write_csv",
     "write_tree",

@@ -27,7 +27,6 @@ from .core import (
     DetNode,
     DetTree,
     DistributionElement,
-    MarginalModel,
     MarginalOrder,
     Split,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "BuildConfig",
     "root_cuboid",
     "estimate_theta",
-    "split_pvalue",
     "fit_pvalue",
     "build_tree",
 ]
@@ -45,6 +43,11 @@ __all__ = [
 # Node sizes up to this use the exact binomial tail; larger ones use the
 # normal approximation with continuity correction.
 EXACT_BINOMIAL_LIMIT = 30
+
+# Deepest tree the builder may grow. Construction, tree documents and JSON
+# encoding all recurse once or twice per level, and Python's default
+# recursion limit (1000) must leave room for the caller's frames.
+MAX_DEPTH_LIMIT = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +97,8 @@ class BuildConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.min_leaf_count < 1:
             raise ValueError("min_leaf_count must be at least 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH_LIMIT:
+            raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH_LIMIT}], got {self.max_depth}")
         if not self.bounds_padding_rel >= 0.0:
             raise ValueError("bounds_padding_rel must be nonnegative")
 
@@ -132,16 +135,6 @@ def estimate_theta(values: np.ndarray, lo: float, hi: float) -> float:
     t = (values - lo) / (hi - lo)
     theta = 6.0 * (float(t.mean()) - 0.5)
     return min(max(theta, -1.0), 1.0)
-
-
-def split_pvalue(values: np.ndarray, lo: float, hi: float, theta: float) -> float:
-    """Two-sided binomial test of the count below the midpoint against the
-    fitted marginal's lower-half mass F(1/2) = 1/2 - theta/4.
-
-    Exact doubled-tail for up to EXACT_BINOMIAL_LIMIT values, normal
-    approximation with continuity correction beyond.
-    """
-    return _threshold_pvalue(values, lo, hi, theta, 0.5)
 
 
 def fit_pvalue(values: np.ndarray, lo: float, hi: float, theta: float) -> float:
@@ -183,7 +176,7 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
     convention), so each sample lands in exactly one leaf. A node whose
     samples are all identical becomes a leaf directly: no split can separate
     them, and the box-halving cascade around the point would otherwise run to
-    max_depth.
+    max_depth. So does a node whose box is too narrow to halve.
     """
     box = root_cuboid(ensemble, config.bounds_padding_rel)
     data = ensemble.data
@@ -206,15 +199,15 @@ def _grow(data: np.ndarray, idx: np.ndarray, box: Cuboid, depth: int, config: Bu
             for i in range(d)
         ]
         best = min(range(d), key=lambda i: (pvalues[i], i))
-        if pvalues[best] < config.alpha:
+        # a box one ulp wide has no midpoint strictly inside and cannot split
+        if pvalues[best] < config.alpha and box.lower[best] < box.midpoint(best) < box.upper[best]:
             position, lo_box, up_box = box.split(best)
             below = data[idx, best] < position
             lower_child = _grow(data, idx[below], lo_box, depth + 1, config)
             upper_child = _grow(data, idx[~below], up_box, depth + 1, config)
             return DetNode(cuboid=box, body=Split(best, position, lower_child, upper_child))
 
-    marginals = tuple(MarginalModel(order=config.order, theta=t) for t in thetas)
-    return DetNode(cuboid=box, body=DistributionElement(cuboid=box, count=count, marginals=marginals))
+    return DetNode(cuboid=box, body=DistributionElement(cuboid=box, count=count, theta=thetas))
 
 
 def _binomial_two_sided_exact(k: int, m: int, p0: float) -> float:

@@ -14,16 +14,14 @@ point (including split boundaries) belongs to exactly one leaf.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
 __all__ = [
     "MarginalOrder",
-    "MarginalModel",
     "Cuboid",
     "DistributionElement",
     "Split",
@@ -32,8 +30,6 @@ __all__ = [
     "marginal_density",
     "marginal_cdf",
     "marginal_quantile",
-    "element_density",
-    "det_density",
     "det_density_many",
     "leaf_mass",
     "validate_tree",
@@ -48,29 +44,6 @@ class MarginalOrder(Enum):
 
     CONSTANT = "constant"
     LINEAR = "linear"
-
-
-@dataclass(frozen=True)
-class MarginalModel:
-    """Marginal density on one dimension of an element, in normalized
-    coordinates t = (x - lo)/(hi - lo):
-
-        p(t | theta) = 1 + theta * (2t - 1),   theta in [-1, 1].
-
-    theta = 0 is the constant (uniform) model; |theta| <= 1 keeps the density
-    nonnegative, and the family is self-normalizing on [0, 1].
-    """
-
-    order: MarginalOrder
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        if not -1.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
-        if self.order is MarginalOrder.CONSTANT and self.theta != 0.0:
-            raise ValueError("constant-order marginal requires theta = 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,28 +71,8 @@ class Cuboid:
     def dims(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def midpoint(self, dim: int) -> float:
         return (float(self.lower[dim]) + float(self.upper[dim])) / 2.0
-
-    def contains(self, x: np.ndarray, upper_closed=None) -> bool:
-        """Containment test under the closed-below/open-above convention.
-
-        ``upper_closed`` marks faces that lie on the root boundary and are
-        therefore closed; ``None`` treats every upper face as closed (a
-        standalone cuboid is its own root).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.lower.shape:
-            raise ValueError(f"point has {x.shape[0] if x.ndim else 0} components, expected {self.dims}")
-        if upper_closed is None:
-            upper_ok = np.all(x <= self.upper)
-        else:
-            upper_ok = np.all((x < self.upper) | (upper_closed & (x <= self.upper)))
-        return bool(np.all(x >= self.lower) and upper_ok)
 
     def split(self, dim: int) -> tuple[float, "Cuboid", "Cuboid"]:
         """Equal-size split: two children partitioning this cuboid at the
@@ -137,25 +90,32 @@ class Cuboid:
 @dataclass(frozen=True, eq=False)
 class DistributionElement:
     """Atom of the estimator: a cuboid, the number of samples it received,
-    and one marginal model per dimension. Empty elements carry theta = 0
-    everywhere and zero mass.
+    and one marginal slope per dimension. In normalized coordinates
+    t = (x - lo)/(hi - lo) dimension i has the marginal density
+
+        p(t | theta_i) = 1 + theta_i * (2t - 1),   theta_i in [-1, 1].
+
+    theta = 0 is the uniform model; |theta| <= 1 keeps the density
+    nonnegative, and the family is self-normalizing on [0, 1]. ``theta`` is a
+    read-only array; empty elements carry theta = 0 everywhere and zero mass.
     """
 
     cuboid: Cuboid
     count: int
-    marginals: tuple[MarginalModel, ...]
+    theta: np.ndarray
 
     def __post_init__(self):
-        if len(self.marginals) != self.cuboid.dims:
-            raise ValueError("need exactly one marginal model per dimension")
+        theta = np.array(self.theta, dtype=np.float64)
+        if theta.shape != (self.cuboid.dims,):
+            raise ValueError("need exactly one theta per dimension")
+        if not np.all(np.abs(theta) <= 1.0):  # also rejects NaN and infinities
+            raise ValueError(f"theta must lie in [-1, 1], got {theta.tolist()}")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
-        if self.count == 0 and any(m.theta != 0.0 for m in self.marginals):
+        if self.count == 0 and np.any(theta != 0.0):
             raise ValueError("empty element must have theta = 0 in every dimension")
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([m.theta for m in self.marginals])
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,104 +179,58 @@ class DetTree:
                 stack.append(node.body.upper_child)
                 stack.append(node.body.lower_child)
 
-    def leaf_list(self) -> list[DistributionElement]:
-        return list(self.iter_leaves())
 
-    def leaf_for(self, x) -> Optional[DistributionElement]:
-        """The unique leaf containing ``x``, or None outside the root cuboid."""
-        x = np.asarray(x, dtype=np.float64)
-        if not self.root.cuboid.contains(x):
-            return None
-        node = self.root
-        while not node.is_leaf:
-            split = node.body
-            node = split.upper_child if x[split.dim] >= split.position else split.lower_child
-        return node.body
-
-    def upper_closed(self, cuboid: Cuboid) -> np.ndarray:
-        """Per-dimension flags: which upper faces of ``cuboid`` lie on the
-        root boundary (and are therefore closed)."""
-        return cuboid.upper == self.root.cuboid.upper
-
-
-def marginal_density(model: MarginalModel, lo: float, hi: float, x: float) -> float:
+def marginal_density(theta, lo, hi, x):
     """Density p[x | theta] = (1 + theta*(2t - 1)) / (hi - lo) with
     t = (x - lo)/(hi - lo). Nonnegative on [lo, hi] and integrates to one.
+    Every argument may be a float or an array (broadcast elementwise).
     """
     t = _normalize(lo, hi, x)
-    return (1.0 + model.theta * (2.0 * t - 1.0)) / (hi - lo)
+    return (1.0 + theta * (2.0 * t - 1.0)) / (hi - lo)
 
 
-def marginal_cdf(model: MarginalModel, lo: float, hi: float, x: float) -> float:
+def marginal_cdf(theta, lo, hi, x):
     """CDF of the marginal: F(t) = (1 - theta)*t + theta*t^2, evaluated as
     t*(1 + theta*(t - 1)) so the endpoints land on exactly 0 and 1.
     """
     t = _normalize(lo, hi, x)
-    return t * (1.0 + model.theta * (t - 1.0))
+    return t * (1.0 + theta * (t - 1.0))
 
 
-def marginal_quantile(model: MarginalModel, lo: float, hi: float, y: float) -> float:
+def marginal_quantile(theta, lo, hi, y):
     """Inverse CDF. Solves theta*t^2 + (1 - theta)*t = y via the
     cancellation-stable root t = 2y / ((1 - theta) + sqrt((1-theta)^2 + 4*theta*y));
-    near theta = 0 this degrades to the uniform quantile t = y.
+    near theta = 0 this degrades to the uniform quantile t = y. The result is
+    clipped into [lo, hi] against roundoff.
     """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"quantile argument must lie in [0, 1], got {y}")
-    theta = model.theta
-    if y == 0.0:
-        return lo
-    if y == 1.0:
-        return hi
-    if abs(theta) < THETA_TINY:
-        t = y
-    else:
-        disc = (1.0 - theta) ** 2 + 4.0 * theta * y
-        t = 2.0 * y / ((1.0 - theta) + math.sqrt(max(disc, 0.0)))
-        t = min(max(t, 0.0), 1.0)
-    return lo + t * (hi - lo)
-
-
-def element_density(de: DistributionElement, x, n: int, upper_closed=None) -> float:
-    """Density contributed by one element: (count/n) times the product of its
-    marginal densities, or 0 outside the cuboid (under the containment
-    convention; see ``Cuboid.contains`` for the ``upper_closed`` flags).
-    """
-    if n < 1:
-        raise ValueError("total sample count must be at least 1")
-    x = np.asarray(x, dtype=np.float64)
-    if not de.cuboid.contains(x, upper_closed):
-        return 0.0
-    value = de.count / n
-    for i, model in enumerate(de.marginals):
-        value *= marginal_density(model, float(de.cuboid.lower[i]), float(de.cuboid.upper[i]), float(x[i]))
-    return value
-
-
-def det_density(tree: DetTree, x) -> float:
-    """Estimated density at ``x``: the containing leaf's element density
-    (equivalently the sum over all leaves, the others vanishing by
-    disjointness); 0 outside the root cuboid.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.dims,):
-        raise ValueError(f"point has shape {x.shape}, expected ({tree.dims},)")
-    leaf = tree.leaf_for(x)
-    if leaf is None:
-        return 0.0
-    return element_density(leaf, x, tree.n, upper_closed=tree.upper_closed(leaf.cuboid))
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise ValueError("quantile argument must lie in [0, 1]")
+    if not np.all(lo < hi):
+        raise ValueError("need lo < hi")
+    denom = (1.0 - theta) + np.sqrt(np.maximum((1.0 - theta) ** 2 + 4.0 * theta * y, 0.0))
+    # denom vanishes only at theta = 1, y = 0, where t = y = 0 is exact
+    uniform_like = (np.abs(theta) < THETA_TINY) | (denom <= 0.0)
+    t = np.where(uniform_like, y, 2.0 * y / np.where(uniform_like, 1.0, denom))
+    del denom, uniform_like  # release before the result is formed: samplers pass large arrays
+    t = np.clip(t, 0.0, 1.0)
+    return np.clip(lo + t * (hi - lo), lo, hi)
 
 
 def det_density_many(tree: DetTree, points) -> np.ndarray:
-    """Vectorized ``det_density`` over an (m, d) batch: one tree descent with
-    index partitioning instead of m walks. Arithmetic matches the scalar path
-    operation for operation, so results are bit-identical to it.
+    """Estimated density at each row of an (m, d) batch: the containing
+    leaf's (count/n) times its marginal densities, 0 outside the root cuboid.
+    One tree descent with index partitioning routes every point to its leaf
+    under the containment convention.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != tree.dims:
         raise ValueError(f"points must have shape (m, {tree.dims})")
+    # one contiguous row per dimension keeps every inner loop m long
+    cols = np.array(pts.T, order="C")
     out = np.zeros(pts.shape[0])
     root = tree.root
-    inside = np.all(pts >= root.cuboid.lower, axis=1) & np.all(pts <= root.cuboid.upper, axis=1)
+    box = root.cuboid
+    inside = np.all(cols >= box.lower[:, None], axis=0) & np.all(cols <= box.upper[:, None], axis=0)
     stack: list[tuple[DetNode, np.ndarray]] = [(root, np.flatnonzero(inside))]
     while stack:
         node, idx = stack.pop()
@@ -326,16 +240,14 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
             de = node.body
             if de.count == 0:
                 continue
+            lower, upper = de.cuboid.lower[:, None], de.cuboid.upper[:, None]
             values = np.full(idx.size, de.count / tree.n)
-            for i, model in enumerate(de.marginals):
-                lo = float(de.cuboid.lower[i])
-                hi = float(de.cuboid.upper[i])
-                t = (pts[idx, i] - lo) / (hi - lo)
-                values *= (1.0 + model.theta * (2.0 * t - 1.0)) / (hi - lo)
+            for factor in marginal_density(de.theta[:, None], lower, upper, cols[:, idx]):
+                values *= factor
             out[idx] = values
         else:
             split = node.body
-            below = pts[idx, split.dim] < split.position
+            below = cols[split.dim, idx] < split.position
             stack.append((split.lower_child, idx[below]))
             stack.append((split.upper_child, idx[~below]))
     return out
@@ -354,9 +266,9 @@ def validate_tree(tree: DetTree) -> None:
     """Check the structural invariants; raises ValueError on violation.
 
     Verifies split positions are exact midpoints, children exactly partition
-    their parent, leaf counts sum to n, empty leaves carry zero theta, and
-    every theta is in range (the MarginalModel constructor enforces the last
-    on the happy path, but deserialized documents go through here too).
+    their parent, leaf counts sum to n, and a constant-order tree carries
+    theta = 0 in every leaf (the DistributionElement constructor checks the
+    range of theta and that empty leaves carry zero theta).
     """
     total = 0
     stack = [tree.root]
@@ -369,6 +281,8 @@ def validate_tree(tree: DetTree) -> None:
                 np.array_equal(de.cuboid.lower, cub.lower) and np.array_equal(de.cuboid.upper, cub.upper)
             ):
                 raise ValueError("leaf element cuboid differs from its node cuboid")
+            if tree.order is MarginalOrder.CONSTANT and np.any(de.theta != 0.0):
+                raise ValueError("constant-order tree requires theta = 0 in every leaf")
             total += de.count
         else:
             split = node.body
@@ -394,9 +308,9 @@ def validate_tree(tree: DetTree) -> None:
         raise ValueError(f"leaf counts sum to {total}, expected n = {tree.n}")
 
 
-def _normalize(lo: float, hi: float, x: float) -> float:
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if x < lo or x > hi:
-        raise ValueError(f"{x} outside the marginal support [{lo}, {hi}]")
+def _normalize(lo, hi, x):
+    if not np.all(lo < hi):
+        raise ValueError("need lo < hi")
+    if not np.all((x >= lo) & (x <= hi)):
+        raise ValueError("x lies outside the marginal support [lo, hi]")
     return (x - lo) / (hi - lo)

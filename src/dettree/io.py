@@ -21,7 +21,6 @@ from .core import (
     DetNode,
     DetTree,
     DistributionElement,
-    MarginalModel,
     MarginalOrder,
     Split,
     validate_tree,
@@ -117,7 +116,7 @@ def document_to_tree(doc: dict) -> DetTree:
         n = int(doc["n"])
         dims = int(doc["dims"])
         names = tuple(str(s) for s in doc["columnNames"])
-        root = _record_to_node(doc["root"], dims, order, where="root")
+        root = _record_to_node(doc["root"], dims, where="root")
         tree = DetTree(root=root, n=n, order=order, column_names=names)
         validate_tree(tree)
     except TreeDocumentError:
@@ -138,9 +137,11 @@ def read_tree(path) -> DetTree:
     try:
         with path.open() as fh:
             doc = json.load(fh)
+        return document_to_tree(doc)
     except json.JSONDecodeError as exc:
         raise TreeDocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return document_to_tree(doc)
+    except RecursionError:
+        raise TreeDocumentError(f"{path}: tree document is nested too deeply") from None
 
 
 def _parse_row(row: list[str]):
@@ -158,7 +159,7 @@ def _node_to_record(node: DetNode) -> dict:
     if node.is_leaf:
         de = node.body
         record["count"] = de.count
-        record["theta"] = [m.theta for m in de.marginals]
+        record["theta"] = [float(t) for t in de.theta]
     else:
         split = node.body
         record["split"] = {"dim": split.dim, "position": split.position}
@@ -166,7 +167,7 @@ def _node_to_record(node: DetNode) -> dict:
     return record
 
 
-def _record_to_node(record: dict, dims: int, order: MarginalOrder, where: str) -> DetNode:
+def _record_to_node(record: dict, dims: int, where: str) -> DetNode:
     if not isinstance(record, dict):
         raise TreeDocumentError(f"{where}: node record must be an object")
     lower = record.get("lower")
@@ -187,8 +188,8 @@ def _record_to_node(record: dict, dims: int, order: MarginalOrder, where: str) -
         if not isinstance(theta, list) or len(theta) != dims:
             raise TreeDocumentError(f"{where}: leaf needs a 'theta' array of length {dims}")
         try:
-            marginals = tuple(MarginalModel(order=order, theta=float(t)) for t in theta)
-            element = DistributionElement(cuboid=cuboid, count=int(record["count"]), marginals=marginals)
+            theta = [float(t) for t in theta]
+            element = DistributionElement(cuboid=cuboid, count=int(record["count"]), theta=theta)
         except ValueError as exc:
             raise TreeDocumentError(f"{where}: {exc}") from exc
         return DetNode(cuboid=cuboid, body=element)
@@ -199,8 +200,8 @@ def _record_to_node(record: dict, dims: int, order: MarginalOrder, where: str) -
         raise TreeDocumentError(f"{where}: split needs 'dim' and 'position'")
     if not isinstance(children, list) or len(children) != 2:
         raise TreeDocumentError(f"{where}: split needs exactly two children")
-    lower_child = _record_to_node(children[0], dims, order, where=f"{where}.children[0]")
-    upper_child = _record_to_node(children[1], dims, order, where=f"{where}.children[1]")
+    lower_child = _record_to_node(children[0], dims, where=f"{where}.children[0]")
+    upper_child = _record_to_node(children[1], dims, where=f"{where}.children[1]")
     return DetNode(
         cuboid=cuboid,
         body=Split(int(split["dim"]), float(split["position"]), lower_child, upper_child),

@@ -1,11 +1,12 @@
 """Unconditional and conditional sample generation from a fitted tree.
 
-Both samplers share the same two-stage scheme: pick a leaf by probability
-mass (categorical draw), then draw each remaining coordinate by inverse
-transform through the leaf's closed-form marginal quantiles. Conditioning
-restricts the categorical stage to the leaves whose cuboids contain the
-prescribed values and reweights them by the marginal densities at those
-values; the prescribed coordinates pass through bit-identically.
+One two-stage scheme serves both cases: pick a leaf by probability mass
+(categorical draw), then draw each remaining coordinate by inverse transform
+through the leaf's closed-form marginal quantiles. Conditioning restricts the
+categorical stage to the leaves whose cuboids contain the prescribed values
+and reweights them by the marginal densities at those values; the prescribed
+coordinates pass through bit-identically. The unconditional case is the empty
+condition.
 
 RNG contract: one ``numpy.random.default_rng(seed)`` stream per call; each
 sample consumes its leaf draw first, then one uniform per free dimension in
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import THETA_TINY, DetNode, DetTree, DistributionElement, marginal_density
+from .core import DetNode, DetTree, DistributionElement, marginal_density, marginal_quantile
 
 __all__ = [
     "Condition",
@@ -29,7 +30,6 @@ __all__ = [
     "categorical_pick",
     "sample_unconditional",
     "find_conditioned_leaves",
-    "conditional_marginal_estimate",
     "sample_conditional",
 ]
 
@@ -75,61 +75,44 @@ class Condition:
 
 @dataclass(frozen=True, eq=False)
 class WeightedLeafSet:
-    """Leaves compatible with a condition, with their unnormalized selection
-    weights mass_k * prod_i p_i(value_i); ``total`` is the tree's estimate of
-    the marginal density at the conditioning point.
+    """Leaves compatible with a condition, in lower-first depth-first order,
+    with their unnormalized selection weights mass_k * prod_i p_i(value_i)
+    and their bounds and slopes stacked into (k, d) arrays. The free
+    dimensions integrate to one inside each leaf, so ``total`` is the tree's
+    estimate of the marginal density at the conditioning point.
     """
 
     leaves: list[DistributionElement]
     weights: np.ndarray
     total: float
+    lower: np.ndarray
+    upper: np.ndarray
+    theta: np.ndarray
 
-    def __post_init__(self):
-        if len(self.leaves) != self.weights.shape[0]:
-            raise ValueError("leaves and weights must have equal length")
 
-
-def categorical_pick(weights, u: float) -> int:
-    """Index k such that u * sum(weights) falls in the k-th left-closed
-    cumulative interval [c_{k-1}, c_k). Zero-weight entries span empty
-    intervals and are never picked.
+def categorical_pick(weights, u) -> np.ndarray:
+    """Index k, for each entry of ``u``, such that u * sum(weights) falls in
+    the k-th left-closed cumulative interval [c_{k-1}, c_k). Zero-weight
+    entries span empty intervals and are never picked.
     """
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u}")
+    u = np.asarray(u, dtype=np.float64)
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("u must lie in [0, 1)")
     weights = np.asarray(weights, dtype=np.float64)
     cum = np.cumsum(weights)
-    total = float(cum[-1]) if cum.size else 0.0
-    if total <= 0.0 or np.any(weights < 0.0):
+    if cum.size == 0 or cum[-1] <= 0.0 or np.any(weights < 0.0):
         raise ValueError("weights must be nonnegative with a positive sum")
-    v = u * total
-    last_positive = -1
-    for k, w in enumerate(weights):
-        if w > 0.0:
-            last_positive = k
-        if v < cum[k]:
-            return k
-    return last_positive  # v == total after roundoff: last nonempty interval
+    idx = np.searchsorted(cum, u * cum[-1], side="right")
+    # a subnormal total can make u * total round to the total: the last nonempty interval
+    return np.minimum(idx, np.flatnonzero(weights > 0.0)[-1])
 
 
 def sample_unconditional(tree: DetTree, seed: int, count: int) -> np.ndarray:
     """Draw ``count`` points from the tree density. Returns a (count, d)
-    array; every row lies inside the leaf that produced it.
+    array; every row lies inside the leaf that produced it. This is
+    ``sample_conditional`` with an empty condition.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    leaves = tree.leaf_list()
-    weights = np.array([leaf.count for leaf in leaves], dtype=np.float64) / tree.n
-    if weights.sum() <= 0.0:
-        raise ValueError("tree has no leaf with positive mass")
-    d = tree.dims
-    rng = np.random.default_rng(seed)
-    if count == 0:
-        return np.empty((0, d))
-    # One row per sample: leaf draw first, then the d coordinate draws in
-    # ascending dimension order (C-order fill matches sequential consumption).
-    u = rng.random((count, 1 + d))
-    idx = _pick_many(weights, u[:, 0])
-    return _draw_coordinates(leaves, idx, u[:, 1:], np.arange(d), d, None)
+    return sample_conditional(tree, Condition(), seed, count)
 
 
 def find_conditioned_leaves(
@@ -144,10 +127,8 @@ def find_conditioned_leaves(
     The root-to-leaf search prunes every branch whose cuboid excludes a
     conditioned value: at a split on a conditioned dimension only the side
     containing the value is visited. ``on_visit`` is a diagnostics hook called
-    once per visited node.
+    once per visited node, in depth-first order.
     """
-    dims = cond.dims
-    values = cond.values
     root = tree.root.cuboid
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
@@ -155,53 +136,41 @@ def find_conditioned_leaves(
         if value < root.lower[dim] or value > root.upper[dim]:
             raise ValueError(f"conditioning value {value} for dimension {dim} lies outside the root cuboid")
 
+    fixed = dict(cond.entries)
     leaves: list[DistributionElement] = []
-    weights: list[float] = []
-
-    def visit(node: DetNode) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if on_visit is not None:
             on_visit(node)
         if node.is_leaf:
-            de = node.body
-            w = de.count / tree.n
-            for dim, value in cond.entries:
-                w *= marginal_density(
-                    de.marginals[dim], float(de.cuboid.lower[dim]), float(de.cuboid.upper[dim]), value
-                )
-            leaves.append(de)
-            weights.append(w)
-            return
+            leaves.append(node.body)
+            continue
         split = node.body
-        if split.dim in dims:
-            value = values[dims.index(split.dim)]
-            visit(split.upper_child if value >= split.position else split.lower_child)
+        value = fixed.get(split.dim)
+        if value is None:
+            stack.append(split.upper_child)
+            stack.append(split.lower_child)
         else:
-            visit(split.lower_child)
-            visit(split.upper_child)
+            stack.append(split.upper_child if value >= split.position else split.lower_child)
 
-    visit(tree.root)
-    weight_arr = np.array(weights, dtype=np.float64)
-    return WeightedLeafSet(leaves=leaves, weights=weight_arr, total=float(weight_arr.sum()))
-
-
-def conditional_marginal_estimate(leaf_set: WeightedLeafSet) -> float:
-    """Estimated marginal density at the conditioning point: the free
-    dimensions integrate to one inside each leaf, so the unnormalized weights
-    sum directly to the density estimate.
-    """
-    return leaf_set.total
+    lower = np.array([de.cuboid.lower for de in leaves])
+    upper = np.array([de.cuboid.upper for de in leaves])
+    theta = np.array([de.theta for de in leaves])
+    weights = np.array([de.count for de in leaves], dtype=np.float64) / tree.n
+    for dim, value in cond.entries:
+        weights *= marginal_density(theta[:, dim], lower[:, dim], upper[:, dim], value)
+    return WeightedLeafSet(leaves, weights, float(weights.sum()), lower, upper, theta)
 
 
 def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) -> np.ndarray:
     """Draw points with the conditioned coordinates fixed at the prescribed
-    values (bit-identical in the output) and the free coordinates drawn from
-    the selected leaf's marginals. An empty condition is the unconditional
-    case and is delegated.
+    values (bit-identical in the output) and the free coordinates drawn by
+    inverse transform through the selected leaf's marginal quantiles. An
+    empty condition draws from the full tree density.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if len(cond) == 0:
-        return sample_unconditional(tree, seed, count)
     d = tree.dims
     if len(cond) >= d:
         raise ValueError("conditional sampling needs at least one free dimension")
@@ -212,52 +181,14 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     rng = np.random.default_rng(seed)
     if count == 0:
         return np.empty((0, d))
+    # One row per sample: leaf draw first, then one draw per free dimension
+    # in ascending order (C-order fill matches sequential consumption).
     u = rng.random((count, 1 + free.size))
-    idx = _pick_many(leaf_set.weights, u[:, 0])
-    return _draw_coordinates(leaf_set.leaves, idx, u[:, 1:], free, d, cond)
-
-
-def _pick_many(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized categorical_pick: identical intervals, identical results."""
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("weights must have a positive sum")
-    cum = np.cumsum(weights)
-    idx = np.searchsorted(cum, u * cum[-1], side="right")
-    positive = np.flatnonzero(weights > 0.0)
-    return np.minimum(idx, positive[-1])
-
-
-def _draw_coordinates(
-    leaves: list[DistributionElement],
-    idx: np.ndarray,
-    u: np.ndarray,
-    draw_dims: np.ndarray,
-    d: int,
-    cond: Optional[Condition],
-) -> np.ndarray:
-    lower = np.array([leaf.cuboid.lower for leaf in leaves])
-    upper = np.array([leaf.cuboid.upper for leaf in leaves])
-    thetas = np.array([leaf.thetas for leaf in leaves])
-
-    lo = lower[idx][:, draw_dims]
-    hi = upper[idx][:, draw_dims]
-    th = thetas[idx][:, draw_dims]
-    t = _quantile_normalized(th, u)
-    out = np.empty((idx.shape[0], d))
-    out[:, draw_dims] = np.clip(lo + t * (hi - lo), lo, hi)
-    if cond is not None:
-        for dim, value in cond.entries:
-            out[:, dim] = value
+    idx = categorical_pick(leaf_set.weights, u[:, 0])
+    out = np.empty((count, d))
+    out[:, free] = marginal_quantile(
+        leaf_set.theta[idx][:, free], leaf_set.lower[idx][:, free], leaf_set.upper[idx][:, free], u[:, 1:]
+    )
+    for dim, value in cond.entries:
+        out[:, dim] = value
     return out
-
-
-def _quantile_normalized(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Array form of the marginal quantile in normalized coordinates."""
-    disc = (1.0 - theta) ** 2 + 4.0 * theta * y
-    root = np.sqrt(np.maximum(disc, 0.0))
-    denom = (1.0 - theta) + root
-    # denom vanishes only at theta = 1, y = 0, where t = y = 0 is exact
-    uniform_like = (np.abs(theta) < THETA_TINY) | (denom <= 0.0)
-    t = np.where(uniform_like, y, 2.0 * y / np.where(uniform_like, 1.0, denom))
-    return np.clip(t, 0.0, 1.0)

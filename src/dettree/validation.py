@@ -64,8 +64,8 @@ def sample_moments(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grid_ise(
-    density_a: Callable[[np.ndarray], float],
-    density_b: Callable[[np.ndarray], float],
+    density_a: Callable[[np.ndarray], np.ndarray],
+    density_b: Callable[[np.ndarray], np.ndarray],
     grid: Sequence[tuple[float, float, int]],
 ) -> float:
     """Riemann-sum integral of (A - B)^2 over a cell-centered lattice.
@@ -74,8 +74,8 @@ def grid_ise(
     cell centers with weight prod((hi - lo)/cells), so constants integrate
     exactly. Symmetric in A and B, nonnegative, zero iff equal on the grid.
 
-    Densities that accept an (m, d) batch (and return (m,) values) are
-    evaluated in one call; scalar-only callables are looped over the lattice.
+    Each density is called once with the (m, d) batch of lattice points and
+    must return m values; any other result shape raises ValueError.
     """
     axes = []
     weight = 1.0
@@ -92,10 +92,7 @@ def grid_ise(
 
 
 def _eval_density(density, pts: np.ndarray) -> np.ndarray:
-    try:
-        values = np.asarray(density(pts), dtype=np.float64)
-        if values.shape == (pts.shape[0],):
-            return values
-    except Exception:
-        pass
-    return np.array([float(density(x)) for x in pts])
+    values = np.asarray(density(pts), dtype=np.float64)
+    if values.shape != (pts.shape[0],):
+        raise ValueError(f"density returned shape {values.shape}, expected ({pts.shape[0]},)")
+    return values

@@ -10,7 +10,8 @@ from dettree import (
     Ensemble,
     GaussianSpec,
     build_tree,
-    det_density,
+    det_density_many,
+    find_conditioned_leaves,
     marginal_density,
     sample_gaussian,
 )
@@ -43,6 +44,37 @@ def build_random_tree(seed: int, n: int = 1000, d: int = 2, **config):
     return build_tree(random_ensemble(seed, n, d), BuildConfig(**config))
 
 
+def leaf_contains(tree: DetTree, de, x) -> bool:
+    """Brute-force containment convention: leaf intervals are closed below
+    and open above, except faces on the root cuboid's upper boundary."""
+    x = np.asarray(x, dtype=np.float64)
+    lower, upper = de.cuboid.lower, de.cuboid.upper
+    closed = upper == tree.root.cuboid.upper
+    return bool(np.all(x >= lower) and np.all((x < upper) | (closed & (x <= upper))))
+
+
+def leaf_at(tree: DetTree, x):
+    """The leaf the conditioned-leaf search routes ``x`` to, conditioning on
+    every coordinate; exactly one leaf contains a point of the root cuboid."""
+    (leaf,) = find_conditioned_leaves(tree, Condition(list(enumerate(x)))).leaves
+    return leaf
+
+
+def leaf_density_sum(tree: DetTree, x) -> float:
+    """Brute-force density oracle: sum over every leaf of (count/n) times its
+    marginal densities, zero outside the leaf (same arithmetic order as the
+    library)."""
+    total = 0.0
+    for de in tree.iter_leaves():
+        if not leaf_contains(tree, de, x):
+            continue
+        value = de.count / tree.n
+        for i in range(tree.dims):
+            value *= marginal_density(de.theta[i], de.cuboid.lower[i], de.cuboid.upper[i], x[i])
+        total += value
+    return total
+
+
 def exhaustive_conditioned_leaves(tree: DetTree, cond: Condition):
     """Brute-force oracle: scan every leaf, apply the containment convention
     and the weight formula directly (same arithmetic order as the library)."""
@@ -62,7 +94,7 @@ def exhaustive_conditioned_leaves(tree: DetTree, cond: Condition):
             continue
         w = de.count / tree.n
         for dim, value in cond.entries:
-            w *= marginal_density(de.marginals[dim], float(de.cuboid.lower[dim]), float(de.cuboid.upper[dim]), value)
+            w *= marginal_density(de.theta[dim], float(de.cuboid.lower[dim]), float(de.cuboid.upper[dim]), value)
         leaves.append(de)
         weights.append(w)
     return leaves, np.array(weights)
@@ -70,17 +102,15 @@ def exhaustive_conditioned_leaves(tree: DetTree, cond: Condition):
 
 def leafwise_quadrature_total(tree: DetTree) -> float:
     """Independent mass oracle: 2-point tensor Gauss-Legendre per leaf (exact
-    for the per-dimension linear densities), summed through det_density."""
+    for the per-dimension linear densities), summed through det_density_many."""
     nodes = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-    total = 0.0
     d = tree.dims
-    for de in tree.iter_leaves():
-        lower, upper = de.cuboid.lower, de.cuboid.upper
-        half = (upper - lower) / 2.0
-        center = (upper + lower) / 2.0
-        leaf_total = 0.0
-        for combo in np.ndindex(*([2] * d)):
-            x = center + half * nodes[list(combo)]
-            leaf_total += det_density(tree, x)
-        total += leaf_total * float(np.prod(half))
-    return total
+    combos = nodes[np.array(list(np.ndindex(*([2] * d))))]  # (2^d, d)
+    leaves = list(tree.iter_leaves())
+    lower = np.array([de.cuboid.lower for de in leaves])
+    upper = np.array([de.cuboid.upper for de in leaves])
+    half = (upper - lower) / 2.0
+    center = (upper + lower) / 2.0
+    points = center[:, None, :] + half[:, None, :] * combos[None, :, :]
+    values = det_density_many(tree, points.reshape(-1, d)).reshape(len(leaves), -1)
+    return float(np.sum(values.sum(axis=1) * np.prod(half, axis=1)))

@@ -29,7 +29,6 @@ from dettree import (
     sample_gaussian,
     sample_unconditional,
 )
-from dettree.core import MarginalModel, MarginalOrder
 from dettree.cli import main as cli_main
 
 from conftest import (
@@ -85,9 +84,8 @@ def test_criterion_2_quantile_round_trip():
     for _ in range(1000):
         theta = float(rng.uniform(-1.0, 1.0))
         y = float(rng.uniform(0.0, 1.0))
-        model = MarginalModel(MarginalOrder.LINEAR, theta)
-        x = marginal_quantile(model, -2.0, 3.0, y)
-        worst = max(worst, abs(marginal_cdf(model, -2.0, 3.0, x) - y))
+        x = marginal_quantile(theta, -2.0, 3.0, y)
+        worst = max(worst, abs(marginal_cdf(theta, -2.0, 3.0, x) - y))
     _report(2, "quantile round-trip", worst <= 1e-12,
             f"1000 random (theta, y): max |CDF(Q(y)) - y| = {worst:.2e} (tol 1e-12)")
 
@@ -117,7 +115,7 @@ def test_criterion_3_conditioned_leaf_search(gaussian_spec):
 def test_criterion_4_leaf_occupancy_chi_square(gaussian_spec):
     data = sample_gaussian(gaussian_spec, 404, 2000)
     tree = build_tree(Ensemble(data), BuildConfig(min_leaf_count=40))
-    leaves = tree.leaf_list()
+    leaves = list(tree.iter_leaves())
     assert len(leaves) <= 100, f"need <= 100 leaves, got {len(leaves)}"
     n_draws = 100_000
     pts = sample_unconditional(tree, 405, n_draws)

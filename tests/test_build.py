@@ -6,17 +6,23 @@ from scipy.stats import binom
 from dettree import (
     BuildConfig,
     Ensemble,
-    MarginalModel,
     MarginalOrder,
     build_tree,
     estimate_theta,
+    leaf_mass,
     marginal_quantile,
     root_cuboid,
-    split_pvalue,
+    validate_tree,
 )
-from dettree.build import fit_pvalue
+from dettree.build import MAX_DEPTH_LIMIT, _threshold_pvalue, fit_pvalue
 
-from conftest import random_ensemble
+from conftest import leaf_at, random_ensemble
+
+
+def split_pvalue(values, lo, hi, theta):
+    """The builder's half-mass test: count below the midpoint against the
+    fitted marginal's lower-half mass F(1/2) = 1/2 - theta/4."""
+    return _threshold_pvalue(values, lo, hi, theta, 0.5)
 
 
 class TestEnsemble:
@@ -69,9 +75,8 @@ class TestEstimateTheta:
         theta = 0.5
         mean, _ = quad(lambda t: t * (1.0 + theta * (2.0 * t - 1.0)), 0.0, 1.0)
         assert mean == pytest.approx(0.5 + theta / 6.0, abs=1e-13)
-        model = MarginalModel(MarginalOrder.LINEAR, theta)
         rng = np.random.default_rng(15)
-        values = np.array([marginal_quantile(model, 0.0, 1.0, y) for y in rng.random(10000)])
+        values = marginal_quantile(theta, 0.0, 1.0, rng.random(10000))
         assert estimate_theta(values, 0.0, 1.0) == pytest.approx(theta, abs=0.05)
 
 
@@ -132,7 +137,7 @@ class TestBuildTree:
             rng = np.random.default_rng(1000 + seed)
             ens = Ensemble(rng.uniform(0.0, 1.0, size=(10000, 2)))
             tree = build_tree(ens, BuildConfig(alpha=0.01))
-            leaves = tree.leaf_list()
+            leaves = list(tree.iter_leaves())
             leaf_counts.append(len(leaves))
             nodes = _count_nodes(tree)
             accept_fractions.append(len(leaves) / nodes)
@@ -161,12 +166,12 @@ class TestBuildTree:
     def test_counts_conserved_and_samples_assigned(self, seed, d):
         ens = random_ensemble(seed, 2000, d)
         tree = build_tree(ens, BuildConfig())
-        leaves = tree.leaf_list()
+        leaves = list(tree.iter_leaves())
         assert sum(de.count for de in leaves) == tree.n
         # reassign every sample through the finished tree and tally
         tally = {id(de): 0 for de in leaves}
         for x in ens.data:
-            tally[id(tree.leaf_for(x))] += 1
+            tally[id(leaf_at(tree, x))] += 1
         for de in leaves:
             assert tally[id(de)] == de.count
 
@@ -199,12 +204,32 @@ class TestBuildTree:
         t2 = build_tree(ens, BuildConfig())
         assert _structure(t1.root) == _structure(t2.root)
 
+    def test_ulp_wide_box_becomes_a_leaf(self):
+        # the root box [0, 5e-324] has no midpoint strictly inside it
+        data = np.concatenate([np.zeros(80), np.full(20, 5e-324)])[:, None]
+        tree = build_tree(Ensemble(data), BuildConfig(min_leaf_count=1))
+        validate_tree(tree)
+        assert sum(leaf_mass(de, tree.n) for de in tree.iter_leaves()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_max_depth_limit(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            BuildConfig(max_depth=MAX_DEPTH_LIMIT + 1)
+        # data that needs ~1000 halvings to separate reaches the limit
+        data = np.concatenate([np.zeros(50), np.full(50, 1e-300), [1.0]])[:, None]
+        tree = build_tree(Ensemble(data), BuildConfig(max_depth=MAX_DEPTH_LIMIT))
+        validate_tree(tree)
+        depth, node = 0, tree.root
+        while not node.is_leaf:
+            depth += 1
+            node = max(node.body.lower_child, node.body.upper_child, key=lambda c: _subtree_count(c))
+        assert depth == MAX_DEPTH_LIMIT
+
     def test_constant_order_has_zero_theta(self):
         ens = random_ensemble(71, 2000, 2)
         tree = build_tree(ens, BuildConfig(order=MarginalOrder.CONSTANT))
+        assert tree.order is MarginalOrder.CONSTANT
         for de in tree.iter_leaves():
-            assert all(m.theta == 0.0 for m in de.marginals)
-            assert all(m.order is MarginalOrder.CONSTANT for m in de.marginals)
+            assert np.all(de.theta == 0.0)
 
 
 def _count_nodes(tree) -> int:
@@ -227,6 +252,6 @@ def _subtree_count(node) -> int:
 def _structure(node):
     if node.is_leaf:
         de = node.body
-        return ("leaf", de.count, tuple(m.theta for m in de.marginals), node.cuboid.lower.tobytes(), node.cuboid.upper.tobytes())
+        return ("leaf", de.count, de.theta.tobytes(), node.cuboid.lower.tobytes(), node.cuboid.upper.tobytes())
     split = node.body
     return ("split", split.dim, split.position, _structure(split.lower_child), _structure(split.upper_child))

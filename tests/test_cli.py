@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from dettree import det_density_many, read_csv, read_tree
+from dettree import det_density_many, read_csv, read_tree, write_csv
+from dettree.build import MAX_DEPTH_LIMIT
 from dettree.cli import main
 
 REF_COV_FLAG = "0.35,0.25,0.5;0.25,0.4,0.6;0.5,0.6,1"
@@ -56,6 +59,28 @@ class TestBuild:
         bad.write_text("a,b\n1,2\n3,oops\n")
         assert run("build", "--in", str(bad), "--out", str(tmp_path / "t.json")) == 2
 
+    def test_unwritable_output_is_data_error(self, tmp_path, gaussian_csv, capsys):
+        code = run("build", "--in", str(gaussian_csv), "--out", str(tmp_path / "missing" / "t.json"))
+        assert code == 2
+        assert _error_lines(capsys) == 1
+
+    def test_ulp_spaced_data_builds(self, tmp_path):
+        data = tmp_path / "ulp.csv"
+        write_csv(data, np.concatenate([np.zeros(80), np.full(20, 5e-324)])[:, None], ["x1"])
+        out = tmp_path / "t.json"
+        assert run("build", "--in", str(data), "--out", str(out), "--min-leaf", "1") == 0
+        assert read_tree(out).n == 100
+
+    def test_max_depth_beyond_limit_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "deep.csv"
+        write_csv(data, np.concatenate([np.zeros(50), np.full(50, 1e-300), [1.0]])[:, None], ["x1"])
+        out = tmp_path / "t.json"
+        assert run("build", "--in", str(data), "--out", str(out), "--max-depth", "2000") == 2
+        assert _error_lines(capsys) == 1
+        # the deepest tree the limit allows survives the document round trip
+        assert run("build", "--in", str(data), "--out", str(out), "--max-depth", str(MAX_DEPTH_LIMIT)) == 0
+        assert run("sample", "--tree", str(out), "--n", "10", "--out", str(tmp_path / "s.csv")) == 0
+
     def test_builds_valid_tree(self, tree_path):
         tree = read_tree(tree_path)
         assert tree.n == 5000
@@ -91,6 +116,15 @@ class TestSample:
     def test_unknown_flag(self, tmp_path, tree_path):
         assert run("sample", "--tree", str(tree_path), "--n", "10", "--frobnicate", "1",
                    "--out", str(tmp_path / "s.csv")) == 1
+
+    def test_deeply_nested_document_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_document(60))
+        assert read_tree(path).n == 1  # the same document, shallower, is valid
+        path.write_text(_nested_document(3000))
+        code = run("sample", "--tree", str(path), "--n", "10", "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert _error_lines(capsys) == 1
 
     def test_condition_outside_root_is_data_error(self, tmp_path, tree_path):
         code = run("sample", "--tree", str(tree_path), "--n", "10", "--seed", "1",
@@ -216,3 +250,33 @@ class TestDeterminism:
                        "--fix", "3=0", "--out", str(grid)) == 0
             outputs.append(tuple(p.read_bytes() for p in (data, tree, samples, grid)))
         assert outputs[0] == outputs[1]
+
+
+def _error_lines(capsys) -> int:
+    return sum(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def _nested_document(depth: int, dims: int = 3) -> str:
+    """A valid tree document ``depth`` splits deep: each split halves the
+    current box toward the origin along dimension depth % dims, the upper
+    child is an empty leaf and the lower child recurses. Built as text,
+    because the JSON encoder recurses once per nesting level."""
+    upper = [1.0] * dims
+    head, tail = [], []
+    for k in range(depth):
+        dim = k % dims
+        position = upper[dim] / 2.0
+        leaf_lower = [0.0] * dims
+        leaf_lower[dim] = position
+        head.append(f'{{"lower": {json.dumps([0.0] * dims)}, "upper": {json.dumps(upper)}, '
+                    f'"split": {{"dim": {dim}, "position": {position!r}}}, "children": [')
+        tail.append(f', {{"lower": {json.dumps(leaf_lower)}, "upper": {json.dumps(upper)}, '
+                    f'"count": 0, "theta": {json.dumps([0.0] * dims)}}}]}}')
+        upper = upper.copy()
+        upper[dim] = position
+    head.append(f'{{"lower": {json.dumps([0.0] * dims)}, "upper": {json.dumps(upper)}, '
+                f'"count": 1, "theta": {json.dumps([0.0] * dims)}}}')
+    names = json.dumps([f"x{i + 1}" for i in range(dims)])
+    return (f'{{"formatVersion": 1, "n": 1, "dims": {dims}, "columnNames": {names}, "order": "linear", '
+            f'"root": {"".join(head)}{"".join(reversed(tail))}}}')
+

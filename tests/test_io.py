@@ -77,7 +77,7 @@ class TestTreeDocuments:
         centers = rng.uniform(-5.0, 5.0, size=(60, 3))
         data = np.vstack([c + 0.05 * rng.standard_normal((800, 3)) for c in centers])
         tree = build_tree(Ensemble(data), BuildConfig(alpha=0.05, min_leaf_count=5))
-        assert len(tree.leaf_list()) >= 1000
+        assert sum(1 for _ in tree.iter_leaves()) >= 1000
         path = tmp_path / "tree.json"
         write_tree(path, tree)
         first = path.read_bytes()

@@ -6,10 +6,8 @@ from dettree import (
     Cuboid,
     DetTree,
     DistributionElement,
-    MarginalModel,
     MarginalOrder,
     categorical_pick,
-    conditional_marginal_estimate,
     find_conditioned_leaves,
     gaussian_conditional,
     ks_test,
@@ -19,14 +17,14 @@ from dettree import (
 )
 from dettree.core import DetNode, Split
 
-from conftest import exhaustive_conditioned_leaves
+from conftest import exhaustive_conditioned_leaves, leaf_at
 
 LIN = MarginalOrder.LINEAR
 
 
 def uniform_leaf_tree(d: int, n: int = 100) -> DetTree:
     cuboid = Cuboid(np.zeros(d), np.ones(d))
-    de = DistributionElement(cuboid=cuboid, count=n, marginals=tuple(MarginalModel(LIN, 0.0) for _ in range(d)))
+    de = DistributionElement(cuboid=cuboid, count=n, theta=np.zeros(d))
     return DetTree(root=DetNode(cuboid=cuboid, body=de), n=n, order=LIN)
 
 
@@ -35,7 +33,7 @@ def two_leaf_tree(count_lower: int, count_upper: int) -> DetTree:
     root_box = Cuboid(np.zeros(2), np.ones(2))
     position, lo_box, up_box = root_box.split(0)
     def leaf(box, count):
-        de = DistributionElement(cuboid=box, count=count, marginals=(MarginalModel(LIN, 0.0),) * 2)
+        de = DistributionElement(cuboid=box, count=count, theta=np.zeros(2))
         return DetNode(cuboid=box, body=de)
     split = Split(0, position, leaf(lo_box, count_lower), leaf(up_box, count_upper))
     return DetTree(root=DetNode(cuboid=root_box, body=split), n=count_lower + count_upper, order=LIN)
@@ -59,17 +57,34 @@ class TestCategoricalPick:
         with pytest.raises(ValueError):
             categorical_pick([1.0], 1.0)
 
+    def test_u_domain_checked_per_entry(self):
+        with pytest.raises(ValueError):
+            categorical_pick([1.0, 1.0], np.array([0.2, 1.0]))
+        with pytest.raises(ValueError):
+            categorical_pick([1.0, 1.0], np.array([-0.1, 0.5]))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            categorical_pick([2.0, -1.0], 0.5)
+
+    def test_zero_weight_entries_never_picked(self):
+        u = np.linspace(0.0, 1.0, 1001)[:-1]
+        idx = categorical_pick([0.0, 1.0, 0.0, 2.0, 0.0], u)
+        assert set(idx.tolist()) == {1, 3}
+        # a subnormal total makes u * total round up to the total itself:
+        # that still lands in the last nonempty interval
+        tiny = np.array([2.0, 1.0, 0.0]) * 5e-324
+        assert np.nextafter(1.0, 0.0) * tiny.sum() == tiny.sum()
+        assert categorical_pick(tiny, np.nextafter(1.0, 0.0)) == 1
+
     def test_empirical_frequencies(self):
         weights = np.array([0.2, 0.3, 0.5])
         rng = np.random.default_rng(123)
-        u = rng.random(1_000_000)
-        cum = np.cumsum(weights)
-        idx = np.searchsorted(cum, u * cum[-1], side="right")
-        freq = np.bincount(idx, minlength=3) / u.size
+        idx = categorical_pick(weights, rng.random(1_000_000))
+        freq = np.bincount(idx, minlength=3) / idx.size
         assert np.all(np.abs(freq - weights) < 0.002)
-        # the vectorized path used above matches the scalar scan
-        for value in u[:200]:
-            assert categorical_pick(weights, value) == np.searchsorted(cum, value * cum[-1], side="right")
+        # left-closed cumulative intervals, checked at their edges
+        assert categorical_pick(weights, [0.0, 0.2, 0.5, 0.4999]).tolist() == [0, 1, 2, 1]
 
 
 class TestSampleUnconditional:
@@ -96,7 +111,7 @@ class TestSampleUnconditional:
         root = tree.root.cuboid
         assert np.all(pts >= root.lower) and np.all(pts <= root.upper)
         for x in pts[:100]:
-            leaf = tree.leaf_for(x)
+            leaf = leaf_at(tree, x)
             assert np.all(x >= leaf.cuboid.lower) and np.all(x <= leaf.cuboid.upper)
         assert np.array_equal(pts, sample_unconditional(tree, 5, 2000))
 
@@ -112,7 +127,7 @@ class TestSampleUnconditional:
         empty = DetTree(
             root=DetNode(
                 cuboid=tree.root.cuboid,
-                body=DistributionElement(cuboid=tree.root.cuboid, count=0, marginals=(MarginalModel(LIN, 0.0),) * 2),
+                body=DistributionElement(cuboid=tree.root.cuboid, count=0, theta=np.zeros(2)),
             ),
             n=1,
             order=LIN,
@@ -134,7 +149,8 @@ class TestFindConditionedLeaves:
         find_conditioned_leaves(tree, Condition([(0, 0.75)]), on_visit=visited.append)
         # conditioned value in the upper half: lower subtree never visited
         assert len(visited) == 2
-        assert all(node.cuboid.contains(np.array([0.75, 0.5])) for node in visited)
+        x = np.array([0.75, 0.5])
+        assert all(np.all(node.cuboid.lower <= x) and np.all(x <= node.cuboid.upper) for node in visited)
 
     def test_boundary_value_goes_upper(self):
         tree = two_leaf_tree(50, 50)
@@ -158,6 +174,28 @@ class TestFindConditionedLeaves:
                 assert a is b
             assert np.array_equal(found.weights, weights)
 
+    def test_leaf_arrays_follow_leaf_order(self, gaussian_tree_small):
+        found = find_conditioned_leaves(gaussian_tree_small, Condition([(1, 0.2)]))
+        assert np.array_equal(found.lower, [de.cuboid.lower for de in found.leaves])
+        assert np.array_equal(found.upper, [de.cuboid.upper for de in found.leaves])
+        assert np.array_equal(found.theta, [de.theta for de in found.leaves])
+        assert found.total == found.weights.sum()
+
+    def test_visits_in_depth_first_order(self, gaussian_tree_small):
+        tree = gaussian_tree_small
+        visited = []
+        found = find_conditioned_leaves(tree, Condition(), visited.append)
+        expected = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            expected.append(node)
+            if not node.is_leaf:
+                stack.extend([node.body.upper_child, node.body.lower_child])
+        assert len(visited) == len(expected)
+        assert all(a is b for a, b in zip(visited, expected))
+        assert all(a is b for a, b in zip(found.leaves, tree.iter_leaves()))
+
     def test_value_outside_root_rejected(self, gaussian_tree_small):
         root = gaussian_tree_small.root.cuboid
         with pytest.raises(ValueError):
@@ -172,12 +210,12 @@ class TestConditionalMarginalEstimate:
     def test_uniform_square(self):
         tree = uniform_leaf_tree(2)
         found = find_conditioned_leaves(tree, Condition([(1, 0.5)]))
-        assert conditional_marginal_estimate(found) == 1.0
+        assert found.total == 1.0
 
     def test_zero_mass_region(self):
         tree = two_leaf_tree(100, 0)
         found = find_conditioned_leaves(tree, Condition([(0, 0.9)]))
-        assert conditional_marginal_estimate(found) == 0.0
+        assert found.total == 0.0
 
     def test_matches_slab_monte_carlo(self, gaussian_tree_small):
         # fraction of the tree's own unconditional draws in |x3| < h, over 2h
@@ -187,7 +225,7 @@ class TestConditionalMarginalEstimate:
         frac = np.mean(np.abs(pts[:, 2]) < h)
         slab_density = frac / (2 * h)
         se = np.sqrt(frac * (1 - frac) / pts.shape[0]) / (2 * h)
-        estimate = conditional_marginal_estimate(find_conditioned_leaves(tree, Condition([(2, 0.0)])))
+        estimate = find_conditioned_leaves(tree, Condition([(2, 0.0)])).total
         assert abs(estimate - slab_density) <= 3 * se
 
 

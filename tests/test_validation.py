@@ -85,31 +85,38 @@ class TestSampleMoments:
 
 class TestGridIse:
     def test_identical_densities(self):
-        f = lambda x: float(np.sum(x**2))
+        f = lambda x: np.sum(x**2, axis=1)
         assert grid_ise(f, f, [(0.0, 1.0, 20), (0.0, 1.0, 20)]) == 0.0
 
     def test_unit_constant_difference(self):
-        one = lambda x: 1.0
-        zero = lambda x: 0.0
+        one = lambda x: np.ones(x.shape[0])
+        zero = lambda x: np.zeros(x.shape[0])
         value = grid_ise(one, zero, [(0.0, 1.0, 101), (0.0, 1.0, 101)])
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_and_nonnegative(self):
-        rng = np.random.default_rng(30)
-        a = lambda x: float(np.exp(-np.sum(x**2)))
-        b = lambda x: float(np.abs(x).sum())
+        a = lambda x: np.exp(-np.sum(x**2, axis=1))
+        b = lambda x: np.abs(x).sum(axis=1)
         grid = [(-1.0, 2.0, 15), (-1.0, 2.0, 15)]
         ab = grid_ise(a, b, grid)
         ba = grid_ise(b, a, grid)
         assert ab == ba
         assert ab > 0.0
 
-    def test_batch_and_scalar_callables_agree(self, ref_gaussian):
+    def test_wrong_result_shape_rejected(self, ref_gaussian):
         grid = [(-2.0, 2.0, 9)] * 3
         batch = lambda pts: gaussian_pdf(ref_gaussian, pts)
-        scalar = lambda x: gaussian_pdf(ref_gaussian, x)
-        zero = lambda x: 0.0
-        assert grid_ise(batch, zero, grid) == pytest.approx(grid_ise(scalar, zero, grid), rel=1e-12)
+        with pytest.raises(ValueError, match="shape"):
+            grid_ise(batch, lambda x: 0.0, grid)
+        with pytest.raises(ValueError, match="shape"):
+            grid_ise(lambda x: batch(x)[:, None], batch, grid)
+
+    def test_density_errors_propagate(self):
+        def broken(x):
+            raise ZeroDivisionError("broken density")
+
+        with pytest.raises(ZeroDivisionError):
+            grid_ise(broken, lambda x: np.zeros(x.shape[0]), [(0.0, 1.0, 4)])
 
     def test_det_error_decreases_with_sample_size(self, ref_gaussian):
         # median ISE against the generating density must drop from n=1e3 to 1e5
