@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
 
 from .build import BuildConfig, build_tree
 from .core import MarginalOrder, det_density_many
@@ -23,6 +22,7 @@ from .io import read_csv, read_tree, write_csv, write_tree
 from .reference import (
     DirichletSpec,
     GaussianSpec,
+    dirichlet_marginal_cdf,
     dirichlet_pdf,
     gaussian_pdf,
     sample_dirichlet,
@@ -284,14 +284,10 @@ def _dirichlet_reference(params: dict, dims: int) -> dict:
         ]
     )
 
-    def marginal_cdf(i):
-        ai = float(a[i])
-        return lambda x: float(betainc(ai, a0 - ai, min(max(x, 0.0), 1.0)))
-
     return {
         "mean": mean,
         "cov": cov,
-        "marginal_cdfs": [marginal_cdf(0), marginal_cdf(1)],
+        "marginal_cdfs": [lambda x: dirichlet_marginal_cdf(spec, 0, x), lambda x: dirichlet_marginal_cdf(spec, 1, x)],
         "pdf": lambda x: dirichlet_pdf(spec, x[..., 0], x[..., 1]),
         "grid": [(0.0, 1.0, 41), (0.0, 1.0, 41)],
         # a sub-unit concentration makes the density blow up along the

@@ -9,6 +9,7 @@ builder guarantees.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 from typing import Sequence
@@ -40,6 +41,9 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# rows formatted per string in write_csv: bounds the text held in memory
+_WRITE_BLOCK_ROWS = 8192
+
 
 class CsvFormatError(ValueError):
     """Malformed sample CSV (ragged rows, non-numeric fields, empty file)."""
@@ -52,11 +56,12 @@ class TreeDocumentError(ValueError):
 def read_csv(path) -> Ensemble:
     """Read a comma-separated ensemble: one sample per row, optional single
     header row (detected by any non-numeric field in row one), decimal-point
-    reals. Errors name the offending 1-based row.
+    reals. A UTF-8 byte-order mark is skipped. Errors name the offending
+    1-based row.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
     if not rows or all(len(r) == 0 for r in rows):
         raise CsvFormatError(f"{path}: file is empty")
 
@@ -66,32 +71,42 @@ def read_csv(path) -> Ensemble:
     if _parse_row(first) is None:
         names = tuple(field.strip() for field in first)
         body_start = 1
-    if body_start == len(rows):
+    body = rows[body_start:]
+    if not body:
         raise CsvFormatError(f"{path}: no data rows after the header")
 
     width = len(first)
-    data = []
-    for line_no, row in enumerate(rows[body_start:], start=body_start + 1):
-        if len(row) != width:
-            raise CsvFormatError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
-        values = _parse_row(row)
-        if values is None:
-            raise CsvFormatError(f"{path}: row {line_no} contains a non-numeric field")
-        if not all(np.isfinite(values)):
-            raise CsvFormatError(f"{path}: row {line_no} contains a non-finite value")
-        data.append(values)
-    return Ensemble(data=np.array(data, dtype=np.float64), column_names=names or ())
+    data = None
+    if not any(len(r) != width for r in body):
+        try:
+            data = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=np.float64,
+                               count=len(body) * width)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        _raise_first_bad_row(path, body, body_start + 1, width)
+    return Ensemble(data=data.reshape(len(body), width), column_names=names or ())
 
 
 def write_csv(path, points: np.ndarray, column_names: Sequence[str]) -> None:
     """Write points with a header row; floats use shortest round-trip repr so
-    the file is byte-deterministic and re-readable by ``read_csv``."""
+    the file is byte-deterministic and re-readable by ``read_csv``. ``points``
+    must be 2-D with one name per column.
+    """
     points = np.asarray(points, dtype=np.float64)
+    names = list(column_names)
+    if points.ndim != 2:
+        raise ValueError(f"points must be a 2-D array, got {points.ndim}-D")
+    if len(names) != points.shape[1]:
+        raise ValueError(f"need one column name per column: {len(names)} names for {points.shape[1]} columns")
+    # a float repr holds no comma, quote or newline, so formatting each block
+    # of rows in one pass gives the bytes csv.writer would
+    row_format = ",".join(["%r"] * points.shape[1]) + "\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(column_names))
-        for row in points:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        for start in range(0, points.shape[0], _WRITE_BLOCK_ROWS):
+            block = points[start:start + _WRITE_BLOCK_ROWS]
+            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def tree_to_document(tree: DetTree) -> dict:
@@ -142,6 +157,18 @@ def read_tree(path) -> DetTree:
         raise TreeDocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise TreeDocumentError(f"{path}: tree document is nested too deeply") from None
+
+
+def _raise_first_bad_row(path: Path, body: list[list[str]], first_line: int, width: int):
+    for line_no, row in enumerate(body, start=first_line):
+        if len(row) != width:
+            raise CsvFormatError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
+        values = _parse_row(row)
+        if values is None:
+            raise CsvFormatError(f"{path}: row {line_no} contains a non-numeric field")
+        if not all(np.isfinite(values)):
+            raise CsvFormatError(f"{path}: row {line_no} contains a non-finite value")
+    raise AssertionError("the whole-array parse failed but no row is malformed")
 
 
 def _parse_row(row: list[str]):

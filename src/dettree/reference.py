@@ -1,6 +1,10 @@
 """Reference distributions used to validate the estimator: a multivariate
 Gaussian and a bivariate Dirichlet, with exact densities, seeded samplers,
 and the analytic conditionals that serve as oracles.
+
+This is the one module that uses scipy, and it imports it inside the
+functions that need it, so building, sampling and density evaluation never
+load scipy.
 """
 
 from __future__ import annotations
@@ -9,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betainc
 
 from .sampling import Condition
 
@@ -22,6 +24,7 @@ __all__ = [
     "gaussian_conditional",
     "dirichlet_pdf",
     "sample_dirichlet",
+    "dirichlet_marginal_cdf",
     "dirichlet_conditional_cdf",
 ]
 
@@ -73,6 +76,8 @@ def gaussian_pdf(spec: GaussianSpec, x) -> "np.ndarray | float":
     evaluated through the Cholesky factor. Accepts one point (d,) or a batch
     (m, d).
     """
+    from scipy.linalg import solve_triangular
+
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -171,11 +176,31 @@ def sample_dirichlet(spec: DirichletSpec, seed: int, count: int) -> np.ndarray:
     return g[:, :2] / g.sum(axis=1, keepdims=True)
 
 
+def dirichlet_marginal_cdf(spec: DirichletSpec, dim: int, x) -> "np.ndarray | float":
+    """CDF at x of the marginal of x1 (dim 0) or x2 (dim 1) under the
+    bivariate Dirichlet: Beta(a_dim, a1 + a2 + a3 - a_dim), via the
+    regularized incomplete beta function.
+    """
+    from scipy.special import betainc
+
+    if dim not in (0, 1):
+        raise ValueError(f"dim must be 0 or 1, got {dim}")
+    a = float(spec.alpha[dim])
+    b = float(spec.alpha.sum()) - a
+    if np.ndim(x) == 0:
+        # a KS test calls this once per sample, where numpy's overhead on a
+        # 0-d array would cost more than the betainc evaluation itself
+        return float(betainc(a, b, min(max(float(x), 0.0), 1.0)))
+    return betainc(a, b, np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0))
+
+
 def dirichlet_conditional_cdf(spec: DirichletSpec, x2: float, x1) -> "np.ndarray | float":
     """CDF at x1 of p(x1 | x2) for the bivariate Dirichlet: a Beta(a1, a3)
     density rescaled to [0, 1 - x2], via the regularized incomplete beta
     function.
     """
+    from scipy.special import betainc
+
     if not 0.0 < x2 < 1.0:
         raise ValueError(f"x2 must lie in (0, 1), got {x2}")
     a1, _, a3 = spec.alpha

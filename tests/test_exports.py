@@ -2,7 +2,10 @@
 example uses only names the package exports."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,20 @@ def test_readme_library_block_uses_exported_names():
     used = set(re.findall(r"\bdt\.(\w+)", block.group(1)))
     assert used, "Library block uses no dt.<name>"
     assert sorted(used - set(dettree.__all__)) == []
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this one has scipy loaded already by other tests
+    code = ("import sys, dettree, dettree.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(dettree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_scipy_imported_only_by_reference_module():
+    package = Path(dettree.__file__).resolve().parent
+    users = sorted(p.name for p in package.glob("*.py") if re.search(r"^\s*(from|import) scipy", p.read_text(), re.M))
+    assert users == ["reference.py"]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -62,6 +64,116 @@ class TestReadCsv:
         ens = read_csv(path)
         assert np.array_equal(ens.data, pts)
         assert ens.column_names == ("a", "b", "c")
+
+    def test_byte_order_mark_skipped_without_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("\ufeff1,2\n3,4\n5,6\n".encode("utf-8"))
+        ens = read_csv(path)
+        assert ens.n == 3
+        assert ens.column_names == ("x1", "x2")
+        assert np.array_equal(ens.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_byte_order_mark_skipped_before_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("\ufeffa,b\n1,2\n".encode("utf-8"))
+        ens = read_csv(path)
+        assert ens.column_names == ("a", "b")
+        assert np.array_equal(ens.data, [[1.0, 2.0]])
+
+    def test_quoted_numeric_fields_parse(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('"a","b"\n"1.5",2\n3,"-4e-3"\n')
+        ens = read_csv(path)
+        assert ens.column_names == ("a", "b")
+        assert np.array_equal(ens.data, [[1.5, 2.0], [3.0, -4e-3]])
+
+    def test_crlf_line_endings_parse(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b\r\n1,2\r\n3,4\r\n")
+        ens = read_csv(path)
+        assert ens.column_names == ("a", "b")
+        assert np.array_equal(ens.data, [[1.0, 2.0], [3.0, 4.0]])
+
+
+BAD_ROWS = {
+    "non-numeric": ("1,x,3", "contains a non-numeric field"),
+    "ragged": ("1,2", "has 2 fields, expected 3"),
+    "inf": ("1,inf,3", "contains a non-finite value"),
+    "nan": ("nan,2,3", "contains a non-finite value"),
+    "blank line": ("", "has 0 fields, expected 3"),
+}
+
+
+class TestReadCsvLargeFileErrors:
+    """The whole-file parse falls back to a row scan only to name the first
+    bad row; the 1-based row number must count the header like any row."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("header", [False, True])
+    def test_bad_row_named_exactly(self, tmp_path, kind, header):
+        bad, message = BAD_ROWS[kind]
+        lines = ["0.5,-1.25,3e8"] * 100_000
+        if header:
+            lines[0] = "a,b,c"
+        lines[50_000] = bad  # file line 50,001
+        lines.append("7,x,9")  # a later bad row must not be the one reported
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match=rf": row 50001 {message}$"):
+            read_csv(path)
+
+
+def _csv_writer_bytes(points, names) -> bytes:
+    """The csv.writer formulation write_csv must reproduce byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(names))
+    for row in points:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+AWKWARD = [5e-324, -0.0, 0.1, 1e16, 1e-07, 2.0**53 + 2, -1.7976931348623157e308]
+
+
+class TestWriteCsv:
+    def test_awkward_values_match_csv_writer(self, tmp_path):
+        pts = np.array(AWKWARD + [0.0, 1.0]).reshape(3, 3)
+        path = tmp_path / "out.csv"
+        write_csv(path, pts, ["a", "b", "c"])
+        assert path.read_bytes() == _csv_writer_bytes(pts, ["a", "b", "c"])
+        assert np.array_equal(read_csv(path).data, pts)
+
+    def test_many_blocks_match_csv_writer(self, tmp_path):
+        # more rows than one formatting block, with awkward values scattered in
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((20_001, 2)) * 10.0 ** rng.integers(-300, 300, size=(20_001, 2))
+        pts.ravel()[rng.choice(pts.size, len(AWKWARD), replace=False)] = AWKWARD
+        path = tmp_path / "out.csv"
+        write_csv(path, pts, ["u", "v"])
+        assert path.read_bytes() == _csv_writer_bytes(pts, ["u", "v"])
+
+    def test_header_needing_quotes_written_by_csv_writer(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, np.ones((1, 2)), ["a,b", 'say "hi"'])
+        assert path.read_bytes() == _csv_writer_bytes(np.ones((1, 2)), ["a,b", 'say "hi"'])
+
+    def test_zero_rows_write_header_only(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, np.empty((0, 3)), ["a", "b", "c"])
+        assert path.read_bytes() == b"a,b,c\n"
+
+    def test_one_dimensional_points_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="2-D"):
+            write_csv(path, np.array([1.0, 2.0, 3.0]), ["a"])
+        assert not path.exists()
+
+    def test_name_count_must_match_columns(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="2 names for 3 columns"):
+            write_csv(path, np.ones((4, 3)), ["a", "b"])
+        assert not path.exists()
 
 
 class TestTreeDocuments:

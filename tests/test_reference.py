@@ -17,6 +17,8 @@ from dettree import (
     sample_gaussian,
 )
 
+from dettree.reference import dirichlet_marginal_cdf
+
 from conftest import REF_COV
 
 ALPHA = np.array([1.25, 2.0, 0.75])
@@ -226,6 +228,29 @@ class TestSampleDirichlet:
         pts = sample_dirichlet(DirichletSpec(alpha=ALPHA), 34, 10000)
         res = ks_test(pts[:, 0], beta(1.25, 2.75).cdf)
         assert res.p_value > 0.01
+
+
+class TestDirichletMarginalCdf:
+    def test_matches_beta_cdf(self):
+        from scipy.stats import beta
+
+        spec = DirichletSpec(alpha=ALPHA)
+        xs = np.linspace(0.0, 1.0, 11)
+        for dim in (0, 1):
+            expected = beta(ALPHA[dim], ALPHA.sum() - ALPHA[dim]).cdf(xs)
+            batch = dirichlet_marginal_cdf(spec, dim, xs)
+            assert np.allclose(batch, expected, rtol=1e-12, atol=1e-14)
+            assert [dirichlet_marginal_cdf(spec, dim, x) for x in xs] == batch.tolist()
+
+    def test_scalar_in_scalar_out_and_clipped(self):
+        spec = DirichletSpec(alpha=ALPHA)
+        assert dirichlet_marginal_cdf(spec, 0, -0.5) == 0.0
+        assert dirichlet_marginal_cdf(spec, 1, 1.5) == 1.0
+        assert isinstance(dirichlet_marginal_cdf(spec, 0, 0.3), float)
+
+    def test_dim_out_of_range(self):
+        with pytest.raises(ValueError, match="dim"):
+            dirichlet_marginal_cdf(DirichletSpec(alpha=ALPHA), 2, 0.5)
 
 
 class TestDirichletConditionalCdf:
