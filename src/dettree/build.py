@@ -45,7 +45,7 @@ __all__ = [
 EXACT_BINOMIAL_LIMIT = 30
 
 # Deepest tree the builder may grow. Construction, tree documents and JSON
-# encoding all recurse once or twice per level, and Python's default
+# decoding all recurse once or twice per level, and Python's default
 # recursion limit (1000) must leave room for the caller's frames.
 MAX_DEPTH_LIMIT = 400
 
@@ -173,38 +173,48 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
     otherwise emit a leaf.
 
     Samples on a split position go to the upper child (closed-below
-    convention), so each sample lands in exactly one leaf. A node whose
-    samples are all identical becomes a leaf directly: no split can separate
-    them, and the box-halving cascade around the point would otherwise run to
-    max_depth. So does a node whose box is too narrow to halve.
+    convention), so each sample lands in exactly one leaf. A dimension whose
+    node values are all identical takes no part in the test or the split
+    choice: no split can separate them, and the box-halving cascade around
+    such an atom would otherwise run to max_depth. A node where no dimension
+    varies becomes a leaf, and so does a node whose box is too narrow to halve.
+
+    Each node holds its samples as one C-contiguous (d, m) block of columns,
+    so every statistic reads contiguous rows. A split partitions the block
+    stably into the two child blocks and then drops it, so outside a split
+    the live blocks hold at most one copy of the data.
     """
     box = root_cuboid(ensemble, config.bounds_padding_rel)
-    data = ensemble.data
-    root = _grow(data, np.arange(ensemble.n), box, 0, config)
+    blocks = [np.ascontiguousarray(ensemble.data.T)]
+    root = _grow(blocks, box, 0, config)
     return DetTree(root=root, n=ensemble.n, order=config.order, column_names=ensemble.column_names)
 
 
-def _grow(data: np.ndarray, idx: np.ndarray, box: Cuboid, depth: int, config: BuildConfig) -> DetNode:
-    d = box.dims
-    count = int(idx.size)
+def _grow(blocks: list[np.ndarray], box: Cuboid, depth: int, config: BuildConfig) -> DetNode:
+    """Grow the subtree of ``box`` from the block on top of ``blocks``."""
+    cols = blocks.pop()
+    d, count = cols.shape
+    lower = box.lower.tolist()
+    upper = box.upper.tolist()
     if config.order is MarginalOrder.LINEAR and count > 0:
-        thetas = [estimate_theta(data[idx, i], float(box.lower[i]), float(box.upper[i])) for i in range(d)]
+        thetas = [estimate_theta(cols[i], lower[i], upper[i]) for i in range(d)]
     else:
         thetas = [0.0] * d
 
-    separable = count > 1 and bool(np.any(data[idx] != data[idx[0]]))
-    if separable and count > config.min_leaf_count and depth < config.max_depth:
-        pvalues = [
-            fit_pvalue(data[idx, i], float(box.lower[i]), float(box.upper[i]), thetas[i])
-            for i in range(d)
-        ]
-        best = min(range(d), key=lambda i: (pvalues[i], i))
+    if count > config.min_leaf_count and depth < config.max_depth:
+        varying = [i for i in range(d) if cols[i].min() < cols[i].max()]
+        pvalues = {i: fit_pvalue(cols[i], lower[i], upper[i], thetas[i]) for i in varying}
+        best = min(varying, key=lambda i: (pvalues[i], i), default=None)
         # a box one ulp wide has no midpoint strictly inside and cannot split
-        if pvalues[best] < config.alpha and box.lower[best] < box.midpoint(best) < box.upper[best]:
+        if best is not None and pvalues[best] < config.alpha and lower[best] < box.midpoint(best) < upper[best]:
             position, lo_box, up_box = box.split(best)
-            below = data[idx, best] < position
-            lower_child = _grow(data, idx[below], lo_box, depth + 1, config)
-            upper_child = _grow(data, idx[~below], up_box, depth + 1, config)
+            below = cols[best] < position
+            # compress keeps C order and the points' order; cols[:, below] would be F-ordered
+            blocks.append(np.compress(~below, cols, axis=1))
+            blocks.append(np.compress(below, cols, axis=1))
+            del cols, below
+            lower_child = _grow(blocks, lo_box, depth + 1, config)
+            upper_child = _grow(blocks, up_box, depth + 1, config)
             return DetNode(cuboid=box, body=Split(best, position, lower_child, upper_child))
 
     return DetNode(cuboid=box, body=DistributionElement(cuboid=box, count=count, theta=thetas))

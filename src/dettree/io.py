@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -142,8 +144,12 @@ def document_to_tree(doc: dict) -> DetTree:
 
 
 def write_tree(path, tree: DetTree) -> None:
+    """Write the tree document as ``json.dump(doc, indent=2)`` would, plus a
+    final newline. CPython serves indented dumps with its pure-Python
+    encoder, so the layout is produced here directly."""
+    text = _indented_json(tree_to_document(tree))
     with Path(path).open("w") as fh:
-        json.dump(tree_to_document(tree), fh, indent=2)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -157,6 +163,70 @@ def read_tree(path) -> DetTree:
         raise TreeDocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise TreeDocumentError(f"{path}: tree document is nested too deeply") from None
+
+
+def _indented_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` for a nonempty dict of dicts, lists,
+    strings, ints and finite floats, byte for byte. Iterative, so a deep tree
+    needs no recursion: the stack holds finished text and the (container,
+    depth) pairs still to encode."""
+    parts: list[str] = []
+    stack: list = [(doc, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        value, depth = item
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            parts.append("{")
+            items = [(inner + encode_basestring_ascii(key) + ": ", v) for key, v in value.items()]
+            close = "\n" + "  " * depth + "}"
+        else:
+            parts.append("[")
+            items = [(inner, v) for v in value]
+            close = "\n" + "  " * depth + "]"
+        pending: list = []
+        for prefix, v in items:
+            if pending:
+                prefix = "," + prefix
+            flat = _flat_json(v, depth + 1)
+            if flat is None:
+                pending.append(prefix)
+                pending.append((v, depth + 1))
+            else:
+                pending.append(prefix + flat)
+        pending.append(close)
+        stack.extend(reversed(pending))
+    return "".join(parts)
+
+
+def _flat_json(value, depth: int):
+    """Text of a scalar, an empty container or a list of scalars at
+    ``depth``; None for a container that holds containers."""
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if any(isinstance(v, (dict, list)) for v in value):
+            return None
+        inner = "\n" + "  " * (depth + 1)
+        return "[" + inner + ("," + inner).join(map(_json_scalar, value)) + "\n" + "  " * depth + "]"
+    if isinstance(value, dict):
+        return None if value else "{}"
+    return _json_scalar(value)
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"tree documents hold finite floats only, got {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"unexpected {type(value).__name__} in a tree document")
 
 
 def _raise_first_bad_row(path: Path, body: list[list[str]], first_line: int, width: int):

@@ -185,10 +185,15 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     # in ascending order (C-order fill matches sequential consumption).
     u = rng.random((count, 1 + free.size))
     idx = categorical_pick(leaf_set.weights, u[:, 0])
-    out = np.empty((count, d))
-    out[:, free] = marginal_quantile(
-        leaf_set.theta[idx][:, free], leaf_set.lower[idx][:, free], leaf_set.upper[idx][:, free], u[:, 1:]
+    # contiguous (count, free) operands keep the quantile's inner loops long
+    coord_u = np.ascontiguousarray(u[:, 1:])
+    del u
+    coords = marginal_quantile(
+        leaf_set.theta[:, free][idx], leaf_set.lower[:, free][idx], leaf_set.upper[:, free][idx], coord_u
     )
+    # allocated after the quantile's temporaries are gone, to lower the peak
+    out = np.empty((count, d))
+    out[:, free] = coords
     for dim, value in cond.entries:
         out[:, dim] = value
     return out

@@ -6,15 +6,22 @@ import pytest
 from dettree import (
     BuildConfig,
     Condition,
+    DetNode,
     DetTree,
+    DistributionElement,
     Ensemble,
     GaussianSpec,
+    MarginalOrder,
+    Split,
     build_tree,
     det_density_many,
+    estimate_theta,
     find_conditioned_leaves,
     marginal_density,
+    root_cuboid,
     sample_gaussian,
 )
+from dettree.build import fit_pvalue
 
 REF_COV = np.array([[0.35, 0.25, 0.5], [0.25, 0.4, 0.6], [0.5, 0.6, 1.0]])
 
@@ -114,3 +121,36 @@ def leafwise_quadrature_total(tree: DetTree) -> float:
     points = center[:, None, :] + half[:, None, :] * combos[None, :, :]
     values = det_density_many(tree, points.reshape(-1, d)).reshape(len(leaves), -1)
     return float(np.sum(values.sum(axis=1) * np.prod(half, axis=1)))
+
+
+def reference_build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
+    """Plain reference builder: every node regathers its samples from the
+    full data through an index array, and a dimension takes part in the fit
+    test and the split choice only if some node value differs from the
+    first. The library builder must produce the same tree bit for bit."""
+    box = root_cuboid(ensemble, config.bounds_padding_rel)
+    root = _reference_grow(ensemble.data, np.arange(ensemble.n), box, 0, config)
+    return DetTree(root=root, n=ensemble.n, order=config.order, column_names=ensemble.column_names)
+
+
+def _reference_grow(data, idx, box, depth, config) -> DetNode:
+    d = box.dims
+    count = int(idx.size)
+    if config.order is MarginalOrder.LINEAR and count > 0:
+        thetas = [estimate_theta(data[idx, i], float(box.lower[i]), float(box.upper[i])) for i in range(d)]
+    else:
+        thetas = [0.0] * d
+    if count > config.min_leaf_count and depth < config.max_depth:
+        varying = [i for i in range(d) if np.any(data[idx, i] != data[idx[0], i])]
+        if varying:
+            pvalues = {
+                i: fit_pvalue(data[idx, i], float(box.lower[i]), float(box.upper[i]), thetas[i]) for i in varying
+            }
+            best = min(varying, key=lambda i: (pvalues[i], i))
+            if pvalues[best] < config.alpha and box.lower[best] < box.midpoint(best) < box.upper[best]:
+                position, lo_box, up_box = box.split(best)
+                below = data[idx, best] < position
+                lower_child = _reference_grow(data, idx[below], lo_box, depth + 1, config)
+                upper_child = _reference_grow(data, idx[~below], up_box, depth + 1, config)
+                return DetNode(cuboid=box, body=Split(best, position, lower_child, upper_child))
+    return DetNode(cuboid=box, body=DistributionElement(cuboid=box, count=count, theta=thetas))

@@ -1,5 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom
 
@@ -15,8 +20,9 @@ from dettree import (
     validate_tree,
 )
 from dettree.build import MAX_DEPTH_LIMIT, _threshold_pvalue, fit_pvalue
+from dettree.io import tree_to_document
 
-from conftest import leaf_at, random_ensemble
+from conftest import leaf_at, random_ensemble, reference_build_tree
 
 
 def split_pvalue(values, lo, hi, theta):
@@ -224,12 +230,87 @@ class TestBuildTree:
             node = max(node.body.lower_child, node.body.upper_child, key=lambda c: _subtree_count(c))
         assert depth == MAX_DEPTH_LIMIT
 
+    def test_atoms_do_not_cascade_to_max_depth(self):
+        # a 3-valued integer column next to a normal one: nodes on an atom
+        # hold one value in that column, which no split can separate, so the
+        # builder must not keep halving the box around it
+        rng = np.random.default_rng(0)
+        n = 5000
+        data = np.column_stack([rng.integers(0, 3, n).astype(np.float64), rng.standard_normal(n)])
+        tree = build_tree(Ensemble(data), BuildConfig())
+        validate_tree(tree)
+        leaves = list(tree.iter_leaves())
+        assert len(leaves) <= 30
+        assert sum(de.count == 0 for de in leaves) <= 2
+        assert _depth(tree.root) <= 8
+
+    def test_constant_dimension_is_never_split(self):
+        rng = np.random.default_rng(1)
+        data = np.column_stack([rng.standard_normal(3000), np.full(3000, 2.5)])
+        tree = build_tree(Ensemble(data), BuildConfig())
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                assert node.body.dim == 0
+                stack.extend([node.body.lower_child, node.body.upper_child])
+
     def test_constant_order_has_zero_theta(self):
         ens = random_ensemble(71, 2000, 2)
         tree = build_tree(ens, BuildConfig(order=MarginalOrder.CONSTANT))
         assert tree.order is MarginalOrder.CONSTANT
         for de in tree.iter_leaves():
             assert np.all(de.theta == 0.0)
+
+
+def _column(kind: str, rng, n: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    if kind == "integer":
+        return rng.integers(0, 3, n).astype(np.float64)
+    if kind == "subnormal":
+        return rng.integers(0, 4, n) * 5e-324
+    if kind == "huge":
+        return rng.standard_normal(n) * 1e306
+    # dyadic values on [0, 1]: with no bounds padding they sit on split midpoints
+    column = rng.integers(0, 17, n) / 16.0
+    column[0], column[-1] = 0.0, 1.0
+    return column
+
+
+@st.composite
+def build_cases(draw):
+    """Adversarial (ensemble, config) pairs: 1-4 dims of normal, integer,
+    subnormal, huge or dyadic columns, rows drawn with repetition from a
+    base set, both marginal orders, small leaf counts and depths."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["normal", "integer", "subnormal", "huge", "dyadic"]),
+                          min_size=1, max_size=4))
+    n_base = draw(st.integers(1, 200))
+    base = np.column_stack([_column(kind, rng, n_base) for kind in kinds])
+    data = base[rng.integers(0, n_base, draw(st.integers(1, 400)))]
+    constant = bool(np.any(data.min(axis=0) == data.max(axis=0)))
+    config = BuildConfig(
+        order=draw(st.sampled_from(list(MarginalOrder))),
+        alpha=draw(st.sampled_from([0.01, 0.2, 0.9])),
+        min_leaf_count=draw(st.integers(1, 12)),
+        max_depth=draw(st.integers(1, 30)),
+        bounds_padding_rel=draw(st.sampled_from([1e-9, 0.1] if constant else [0.0, 1e-9, 0.1])),
+    )
+    return Ensemble(data), config
+
+
+class TestBuildMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=build_cases())
+    def test_same_tree_as_reference_builder(self, case):
+        ens, config = case
+        tree = build_tree(ens, config)
+        expected = reference_build_tree(ens, config)
+        # json.dumps writes floats by repr, so equal text means equal bits
+        assert json.dumps(tree_to_document(tree)) == json.dumps(tree_to_document(expected))
+        validate_tree(tree)
+        assert math.fsum(leaf_mass(de, tree.n) for de in tree.iter_leaves()) == pytest.approx(1.0, abs=1e-12)
 
 
 def _count_nodes(tree) -> int:
@@ -241,6 +322,17 @@ def _count_nodes(tree) -> int:
         if not node.is_leaf:
             stack.extend([node.body.lower_child, node.body.upper_child])
     return total
+
+
+def _depth(node) -> int:
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if not node.is_leaf:
+            stack.extend([(node.body.lower_child, depth + 1), (node.body.upper_child, depth + 1)])
+    return deepest
 
 
 def _subtree_count(node) -> int:

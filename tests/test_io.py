@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dettree import BuildConfig, Ensemble, build_tree, read_csv, read_tree, write_csv, write_tree
+from dettree import BuildConfig, Ensemble, MarginalOrder, build_tree, read_csv, read_tree, write_csv, write_tree
+from dettree.build import MAX_DEPTH_LIMIT
 from dettree.io import CsvFormatError, TreeDocumentError, document_to_tree, tree_to_document
 
 from conftest import build_random_tree
@@ -251,3 +252,32 @@ class TestTreeDocuments:
         tree = build_random_tree(14, n=300, d=2)
         text = json.dumps(tree_to_document(tree))
         assert json.loads(text) == tree_to_document(tree)
+
+
+def _golden_tree(kind: str):
+    if kind == "one_dim":
+        return build_random_tree(21, n=3000, d=1)
+    if kind == "constant_order":
+        return build_random_tree(22, n=3000, d=3, order=MarginalOrder.CONSTANT)
+    if kind == "deepest":
+        # the data test_max_depth_limit grows to exactly MAX_DEPTH_LIMIT levels
+        data = np.concatenate([np.zeros(50), np.full(50, 1e-300), [1.0]])[:, None]
+        return build_tree(Ensemble(data), BuildConfig(max_depth=MAX_DEPTH_LIMIT))
+    if kind == "awkward_names":
+        rng = np.random.default_rng(23)
+        names = ('say "hi"', "back\\slash", "\u00e9t\u00e9 \u2192 \U0001d465")
+        return build_tree(Ensemble(rng.standard_normal((2000, 3)), column_names=names), BuildConfig())
+    assert kind == "single_leaf"
+    return build_tree(Ensemble(np.array([[0.0, -0.0], [1.0, 5e-324]])), BuildConfig())
+
+
+class TestWriteTreeGolden:
+    @pytest.mark.parametrize("kind", ["one_dim", "constant_order", "deepest", "awkward_names", "single_leaf"])
+    def test_bytes_equal_indented_json_dump(self, tmp_path, kind):
+        tree = _golden_tree(kind)
+        expected = (json.dumps(tree_to_document(tree), indent=2) + "\n").encode("ascii")
+        path = tmp_path / "tree.json"
+        write_tree(path, tree)
+        assert path.read_bytes() == expected
+        write_tree(path, read_tree(path))
+        assert path.read_bytes() == expected
