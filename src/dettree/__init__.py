@@ -5,12 +5,9 @@ smooth-bootstrap sample generation.
 
 from .build import BuildConfig, Ensemble, build_tree, estimate_theta, root_cuboid
 from .core import (
-    Cuboid,
     DetNode,
     DetTree,
-    DistributionElement,
     MarginalOrder,
-    Split,
     det_density_many,
     leaf_mass,
     marginal_cdf,
@@ -44,16 +41,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildConfig",
     "Condition",
-    "Cuboid",
     "DetNode",
     "DetTree",
     "DirichletSpec",
-    "DistributionElement",
     "Ensemble",
     "GaussianSpec",
     "KsResult",
     "MarginalOrder",
-    "Split",
     "WeightedLeafSet",
     "build_tree",
     "categorical_pick",

@@ -1,5 +1,5 @@
-"""Tree construction: recursive equal-size splitting driven by a local
-goodness-of-fit test.
+"""Tree construction: equal-size splitting driven by a local goodness-of-fit
+test.
 
 At each node the marginal model is fitted per dimension (moment-matched
 theta for linear order, theta = 0 for constant order) and compared with the
@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Cuboid,
-    DetNode,
-    DetTree,
-    DistributionElement,
-    MarginalOrder,
-    Split,
-)
+from .core import DetTree, MarginalOrder
 
 __all__ = [
     "Ensemble",
@@ -44,9 +37,9 @@ __all__ = [
 # normal approximation with continuity correction.
 EXACT_BINOMIAL_LIMIT = 30
 
-# Deepest tree the builder may grow. Construction, tree documents and JSON
-# decoding all recurse once or twice per level, and Python's default
-# recursion limit (1000) must leave room for the caller's frames.
+# Deepest tree the builder may grow. Tree documents nest one record level
+# per tree level and ``json.load`` recurses twice per record level, so
+# Python's default recursion limit (1000) must leave room for the caller.
 MAX_DEPTH_LIMIT = 400
 
 
@@ -103,10 +96,11 @@ class BuildConfig:
             raise ValueError("bounds_padding_rel must be nonnegative")
 
 
-def root_cuboid(ensemble: Ensemble, padding_rel: float) -> Cuboid:
-    """Bounding box of the data, each side padded by ``padding_rel`` times the
-    per-dimension range. A zero-range dimension is padded by
-    ``padding_rel * max(1, |value|)`` so every width is strictly positive.
+def root_cuboid(ensemble: Ensemble, padding_rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounding box ``(lower, upper)`` of the data, each side padded by
+    ``padding_rel`` times the per-dimension range. A zero-range dimension is
+    padded by ``padding_rel * max(1, |value|)`` so every width is strictly
+    positive.
     """
     lo = ensemble.data.min(axis=0)
     hi = ensemble.data.max(axis=0)
@@ -122,7 +116,9 @@ def root_cuboid(ensemble: Ensemble, padding_rel: float) -> Cuboid:
     if np.any(bad):
         lower = np.where(bad, np.nextafter(lo, -np.inf), lower)
         upper = np.where(bad, np.nextafter(hi, np.inf), upper)
-    return Cuboid(lower, upper)
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError("the padded data range overflows: box bounds must be finite")
+    return lower, upper
 
 
 def estimate_theta(values: np.ndarray, lo: float, hi: float) -> float:
@@ -166,11 +162,11 @@ def _threshold_pvalue(values: np.ndarray, lo: float, hi: float, theta: float, t:
 
 
 def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
-    """Recursive subdivision: fit marginals, test per-dimension compatibility,
-    split the least compatible dimension at its midpoint (ties to the lowest
-    index) while the node holds more than ``min_leaf_count`` samples, is
-    shallower than ``max_depth``, and some p-value falls below ``alpha``;
-    otherwise emit a leaf.
+    """Subdivision: fit marginals, test per-dimension compatibility, split the
+    least compatible dimension at its midpoint (ties to the lowest index)
+    while the node holds more than ``min_leaf_count`` samples, is shallower
+    than ``max_depth``, and some p-value falls below ``alpha``; otherwise
+    emit a leaf.
 
     Samples on a split position go to the upper child (closed-below
     convention), so each sample lands in exactly one leaf. A dimension whose
@@ -179,45 +175,55 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
     such an atom would otherwise run to max_depth. A node where no dimension
     varies becomes a leaf, and so does a node whose box is too narrow to halve.
 
-    Each node holds its samples as one C-contiguous (d, m) block of columns,
-    so every statistic reads contiguous rows. A split partitions the block
-    stably into the two child blocks and then drops it, so outside a split
-    the live blocks hold at most one copy of the data.
+    Nodes are appended in preorder from a stack of pending nodes, lower child
+    on top. Each pending node holds its samples as one C-contiguous (d, m)
+    block of columns, so every statistic reads contiguous rows. A split
+    partitions the block stably into the two child blocks, and the next pop
+    drops it, so outside a split the live blocks hold at most one copy of the
+    data.
     """
-    box = root_cuboid(ensemble, config.bounds_padding_rel)
-    blocks = [np.ascontiguousarray(ensemble.data.T)]
-    root = _grow(blocks, box, 0, config)
-    return DetTree(root=root, n=ensemble.n, order=config.order, column_names=ensemble.column_names)
+    d = ensemble.dims
+    root_lower, root_upper = root_cuboid(ensemble, config.bounds_padding_rel)
+    nodes, upper_child = [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
+    # pending nodes: (column block, lower, upper, depth, id of the parent whose upper child it is)
+    stack = [(np.ascontiguousarray(ensemble.data.T), root_lower.tolist(), root_upper.tolist(), 0, -1)]
+    while stack:
+        cols, lower, upper, depth, parent = stack.pop()
+        if parent >= 0:
+            upper_child[parent] = len(nodes)
+        upper_child.append(-1)
+        if config.order is MarginalOrder.LINEAR and cols.shape[1] > 0:
+            thetas = [estimate_theta(cols[i], lower[i], upper[i]) for i in range(d)]
+        else:
+            thetas = [0.0] * d
+        best = _split_choice(cols, lower, upper, thetas, depth, config)
+        if best < 0:
+            nodes.append((lower, upper, -1, cols.shape[1], thetas))
+            continue
+        nodes.append((lower, upper, best, 0, [0.0] * d))
+        position = (lower[best] + upper[best]) / 2.0
+        below = cols[best] < position
+        lo_upper, hi_lower = upper.copy(), lower.copy()
+        lo_upper[best] = hi_lower[best] = position
+        # compress keeps C order and the points' order; cols[:, below] would be F-ordered
+        stack.append((np.compress(~below, cols, axis=1), hi_lower, upper, depth + 1, len(nodes) - 1))
+        stack.append((np.compress(below, cols, axis=1), lower, lo_upper, depth + 1, -1))
+    lower, upper, split_dim, count, theta = zip(*nodes)
+    return DetTree(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=count, theta=theta,
+                   n=ensemble.n, order=config.order, column_names=ensemble.column_names)
 
 
-def _grow(blocks: list[np.ndarray], box: Cuboid, depth: int, config: BuildConfig) -> DetNode:
-    """Grow the subtree of ``box`` from the block on top of ``blocks``."""
-    cols = blocks.pop()
-    d, count = cols.shape
-    lower = box.lower.tolist()
-    upper = box.upper.tolist()
-    if config.order is MarginalOrder.LINEAR and count > 0:
-        thetas = [estimate_theta(cols[i], lower[i], upper[i]) for i in range(d)]
-    else:
-        thetas = [0.0] * d
-
-    if count > config.min_leaf_count and depth < config.max_depth:
-        varying = [i for i in range(d) if cols[i].min() < cols[i].max()]
-        pvalues = {i: fit_pvalue(cols[i], lower[i], upper[i], thetas[i]) for i in varying}
-        best = min(varying, key=lambda i: (pvalues[i], i), default=None)
-        # a box one ulp wide has no midpoint strictly inside and cannot split
-        if best is not None and pvalues[best] < config.alpha and lower[best] < box.midpoint(best) < upper[best]:
-            position, lo_box, up_box = box.split(best)
-            below = cols[best] < position
-            # compress keeps C order and the points' order; cols[:, below] would be F-ordered
-            blocks.append(np.compress(~below, cols, axis=1))
-            blocks.append(np.compress(below, cols, axis=1))
-            del cols, below
-            lower_child = _grow(blocks, lo_box, depth + 1, config)
-            upper_child = _grow(blocks, up_box, depth + 1, config)
-            return DetNode(cuboid=box, body=Split(best, position, lower_child, upper_child))
-
-    return DetNode(cuboid=box, body=DistributionElement(cuboid=box, count=count, theta=thetas))
+def _split_choice(cols: np.ndarray, lower: list, upper: list, thetas: list, depth: int, config: BuildConfig) -> int:
+    """The dimension to split a node along, or -1 to make it a leaf."""
+    if cols.shape[1] <= config.min_leaf_count or depth >= config.max_depth:
+        return -1
+    varying = [i for i in range(len(lower)) if cols[i].min() < cols[i].max()]
+    pvalues = {i: fit_pvalue(cols[i], lower[i], upper[i], thetas[i]) for i in varying}
+    best = min(varying, key=lambda i: (pvalues[i], i), default=None)
+    if best is None or not pvalues[best] < config.alpha:
+        return -1
+    # a box one ulp wide has no midpoint strictly inside and cannot split
+    return best if lower[best] < (lower[best] + upper[best]) / 2.0 < upper[best] else -1
 
 
 def _binomial_two_sided_exact(k: int, m: int, p0: float) -> float:

@@ -203,7 +203,7 @@ def _cmd_validate(args) -> int:
     mean, cov = sample_moments(points)
 
     lines = [
-        f"tree: {args.tree} (n={tree.n}, dims={tree.dims}, leaves={sum(1 for _ in tree.iter_leaves())})",
+        f"tree: {args.tree} (n={tree.n}, dims={tree.dims}, leaves={np.count_nonzero(tree.split_dim < 0)})",
         f"reference: {args.against} {args.params}",
         f"resamples: {args.n} (seed {args.seed})",
         "",

@@ -1,30 +1,42 @@
-"""Domain types and exact density/CDF/quantile evaluation for distribution
-element trees.
+"""The distribution element tree and exact density/CDF/quantile evaluation.
 
-A distribution element (DE) is an axis-aligned cuboid carrying a sample count
-and, per dimension, a constant or linear marginal density. A tree of equal-size
-cuboid splits whose leaves are DEs defines the density estimate: the sum of the
-leaf densities, which at any point reduces to the single containing leaf.
+A distribution element (DE) is an axis-aligned box carrying a sample count
+and, per dimension, a constant or linear marginal density. A tree of
+equal-size box splits whose leaves are DEs defines the density estimate: the
+sum of the leaf densities, which at any point reduces to the single
+containing leaf.
+
+Array layout. A tree of N nodes in d dimensions stores its nodes in
+preorder, lower child first, as read-only arrays. Node 0 is the root, the
+lower child of split node i is node i + 1 and its upper child is node
+``upper_child[i]``; leaves in ascending id order are the depth-first leaf
+order.
+
+    lower, upper   (N, d) float64   the node's box
+    split_dim      (N,)   intp      split dimension, -1 at a leaf
+    upper_child    (N,)   intp      id of the upper child, -1 at a leaf
+    count          (N,)   int64     samples in a leaf, 0 at a split
+    theta          (N, d) float64   a leaf's marginal slopes, 0 at a split
+
+A split halves its box at the midpoint of ``split_dim``, so the position is
+not stored: it is ``(lower[i, k] + upper[i, k]) / 2``.
 
 Containment convention: leaf intervals are closed below and open above,
-[l, u), except that a face lying on the root cuboid's upper boundary is
-closed. This makes the leaves an exact partition of the root cuboid, so every
-point (including split boundaries) belongs to exactly one leaf.
+[l, u), except that a face lying on the root box's upper boundary is closed.
+This makes the leaves an exact partition of the root box, so every point
+(including split boundaries) belongs to exactly one leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "MarginalOrder",
-    "Cuboid",
-    "DistributionElement",
-    "Split",
     "DetNode",
     "DetTree",
     "marginal_density",
@@ -38,6 +50,15 @@ __all__ = [
 # Below this, the linear quantile formula degrades to the uniform one.
 THETA_TINY = 1e-10
 
+_NODE_ARRAYS = (
+    ("lower", np.float64),
+    ("upper", np.float64),
+    ("split_dim", np.intp),
+    ("upper_child", np.intp),
+    ("count", np.int64),
+    ("theta", np.float64),
+)
+
 
 class MarginalOrder(Enum):
     """Polynomial order of the per-dimension marginal densities."""
@@ -46,138 +67,70 @@ class MarginalOrder(Enum):
     LINEAR = "linear"
 
 
-@dataclass(frozen=True, eq=False)
-class Cuboid:
-    """Axis-aligned box with strictly positive widths and finite bounds."""
+@dataclass(frozen=True, eq=False, repr=False)
+class DetTree:
+    """Distribution element tree: the node arrays of the module docstring,
+    the sample count ``n``, the marginal order and one name per dimension
+    (default x1..xd).
+
+    In normalized coordinates t = (x - lo)/(hi - lo) a leaf's dimension i has
+    the marginal density p(t | theta_i) = 1 + theta_i * (2t - 1), with
+    theta_i in [-1, 1]: theta = 0 is the uniform model, |theta| <= 1 keeps
+    the density nonnegative and the family is self-normalizing on [0, 1].
+
+    The constructor stores read-only copies of the arrays and checks nothing
+    else; ``validate_tree`` checks the invariants. Density evaluation is pure,
+    so any number of threads may read concurrently.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.ascontiguousarray(self.lower, dtype=np.float64)
-        upper = np.ascontiguousarray(self.upper, dtype=np.float64)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError("lower and upper must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("cuboid bounds must be finite")
-        if not np.all(lower < upper):
-            raise ValueError("cuboid widths must be strictly positive")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def dims(self) -> int:
-        return self.lower.shape[0]
-
-    def midpoint(self, dim: int) -> float:
-        return (float(self.lower[dim]) + float(self.upper[dim])) / 2.0
-
-    def split(self, dim: int) -> tuple[float, "Cuboid", "Cuboid"]:
-        """Equal-size split: two children partitioning this cuboid at the
-        midpoint of ``dim``. Bound arrays are shared except along ``dim``, so
-        boundary coordinates stay bit-identical across levels.
-        """
-        position = self.midpoint(dim)
-        lo_upper = self.upper.copy()
-        lo_upper[dim] = position
-        hi_lower = self.lower.copy()
-        hi_lower[dim] = position
-        return position, Cuboid(self.lower, lo_upper), Cuboid(hi_lower, self.upper)
-
-
-@dataclass(frozen=True, eq=False)
-class DistributionElement:
-    """Atom of the estimator: a cuboid, the number of samples it received,
-    and one marginal slope per dimension. In normalized coordinates
-    t = (x - lo)/(hi - lo) dimension i has the marginal density
-
-        p(t | theta_i) = 1 + theta_i * (2t - 1),   theta_i in [-1, 1].
-
-    theta = 0 is the uniform model; |theta| <= 1 keeps the density
-    nonnegative, and the family is self-normalizing on [0, 1]. ``theta`` is a
-    read-only array; empty elements carry theta = 0 everywhere and zero mass.
-    """
-
-    cuboid: Cuboid
-    count: int
+    split_dim: np.ndarray
+    upper_child: np.ndarray
+    count: np.ndarray
     theta: np.ndarray
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=np.float64)
-        if theta.shape != (self.cuboid.dims,):
-            raise ValueError("need exactly one theta per dimension")
-        if not np.all(np.abs(theta) <= 1.0):  # also rejects NaN and infinities
-            raise ValueError(f"theta must lie in [-1, 1], got {theta.tolist()}")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
-        if self.count == 0 and np.any(theta != 0.0):
-            raise ValueError("empty element must have theta = 0 in every dimension")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-
-
-@dataclass(frozen=True, eq=False)
-class Split:
-    """Internal-node payload: dimension, midpoint position, two children."""
-
-    dim: int
-    position: float
-    lower_child: "DetNode"
-    upper_child: "DetNode"
-
-
-@dataclass(frozen=True, eq=False)
-class DetNode:
-    """Binary-tree node: either a leaf holding a DistributionElement or an
-    equal-size split with two children."""
-
-    cuboid: Cuboid
-    body: Union[DistributionElement, Split]
-
-    @property
-    def is_leaf(self) -> bool:
-        return isinstance(self.body, DistributionElement)
-
-
-@dataclass(frozen=True, eq=False)
-class DetTree:
-    """Distribution element tree over a root cuboid.
-
-    Immutable after construction; density evaluation is pure, so any number
-    of threads may read concurrently.
-    """
-
-    root: DetNode
     n: int
     order: MarginalOrder
     column_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("tree must be built from at least one sample")
-        names = tuple(self.column_names)
-        if not names:
-            names = tuple(f"x{i + 1}" for i in range(self.dims))
-        if len(names) != self.dims:
-            raise ValueError("need one column name per dimension")
+        for name, dtype in _NODE_ARRAYS:
+            # same_kind casting refuses a float count or dimension instead of truncating it
+            value = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        names = tuple(self.column_names) or tuple(f"x{i + 1}" for i in range(self.dims))
         object.__setattr__(self, "column_names", names)
 
     @property
     def dims(self) -> int:
-        return self.root.cuboid.dims
+        return self.lower.shape[-1]
 
-    def iter_leaves(self) -> Iterator[DistributionElement]:
+    @property
+    def root(self) -> "DetNode":
+        return DetNode(self, 0)
+
+    def iter_leaves(self) -> Iterator["DetNode"]:
         """Leaves in depth-first order, lower child before upper child."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node.body
-            else:
-                stack.append(node.body.upper_child)
-                stack.append(node.body.lower_child)
+        return (DetNode(self, node) for node in np.flatnonzero(self.split_dim < 0).tolist())
+
+
+class DetNode(NamedTuple):
+    """Read-only handle on node ``id`` of ``tree``, made on access: it holds
+    no data and every field reads the tree's arrays. It serves the reads of
+    a node-by-node tree walk, and is its own ``cuboid`` (box) and ``body``
+    (leaf element or split)."""
+
+    tree: DetTree
+    id: int
+
+    lower = property(lambda self: self.tree.lower[self.id])
+    upper = property(lambda self: self.tree.upper[self.id])
+    count = property(lambda self: int(self.tree.count[self.id]))
+    is_leaf = property(lambda self: bool(self.tree.split_dim[self.id] < 0))
+    lower_child = property(lambda self: DetNode(self.tree, self.id + 1))
+    upper_child = property(lambda self: DetNode(self.tree, int(self.tree.upper_child[self.id])))
+    cuboid = body = property(lambda self: self)
 
 
 def marginal_density(theta, lo, hi, x):
@@ -218,94 +171,125 @@ def marginal_quantile(theta, lo, hi, y):
 
 def det_density_many(tree: DetTree, points) -> np.ndarray:
     """Estimated density at each row of an (m, d) batch: the containing
-    leaf's (count/n) times its marginal densities, 0 outside the root cuboid.
-    One tree descent with index partitioning routes every point to its leaf
-    under the containment convention.
+    leaf's (count/n) times its marginal densities, 0 outside the root box.
+
+    One descent over node ids routes every point to its leaf under the
+    containment convention. Each node holds its points as one C-contiguous
+    (d, m) block of columns, which a split partitions stably into the child
+    blocks, so every leaf factor reads contiguous memory.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != tree.dims:
         raise ValueError(f"points must have shape (m, {tree.dims})")
-    # one contiguous row per dimension keeps every inner loop m long
     cols = np.array(pts.T, order="C")
+    inside = np.all(cols >= tree.lower[0, :, None], axis=0) & np.all(cols <= tree.upper[0, :, None], axis=0)
+    if not inside.all():  # copy only to drop points outside the root box
+        cols = np.compress(inside, cols, axis=1)
+    stack = [(0, cols, np.flatnonzero(inside))]
     out = np.zeros(pts.shape[0])
-    root = tree.root
-    box = root.cuboid
-    inside = np.all(cols >= box.lower[:, None], axis=0) & np.all(cols <= box.upper[:, None], axis=0)
-    stack: list[tuple[DetNode, np.ndarray]] = [(root, np.flatnonzero(inside))]
     while stack:
-        node, idx = stack.pop()
+        node, cols, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            de = node.body
-            if de.count == 0:
-                continue
-            lower, upper = de.cuboid.lower[:, None], de.cuboid.upper[:, None]
-            values = np.full(idx.size, de.count / tree.n)
-            for factor in marginal_density(de.theta[:, None], lower, upper, cols[:, idx]):
+        dim = int(tree.split_dim[node])
+        if dim >= 0:
+            below = cols[dim] < (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+            stack.append((int(tree.upper_child[node]), np.compress(~below, cols, axis=1), idx[~below]))
+            stack.append((node + 1, np.compress(below, cols, axis=1), idx[below]))
+        elif tree.count[node] > 0:
+            values = np.full(idx.size, int(tree.count[node]) / tree.n)
+            lo, hi = tree.lower[node, :, None], tree.upper[node, :, None]
+            for factor in marginal_density(tree.theta[node, :, None], lo, hi, cols):
                 values *= factor
             out[idx] = values
-        else:
-            split = node.body
-            below = cols[split.dim, idx] < split.position
-            stack.append((split.lower_child, idx[below]))
-            stack.append((split.upper_child, idx[~below]))
     return out
 
 
-def leaf_mass(de: DistributionElement, n: int) -> float:
-    """Probability mass of an element, count/n: the marginals integrate to
-    one, so the element's integral over its cuboid is just its sample share.
+def leaf_mass(leaf: DetNode, n: int) -> float:
+    """Probability mass of a leaf, count/n: the marginals integrate to one,
+    so the leaf's integral over its box is just its sample share.
     """
     if n < 1:
         raise ValueError("total sample count must be at least 1")
-    return de.count / n
+    return leaf.count / n
 
 
 def validate_tree(tree: DetTree) -> None:
-    """Check the structural invariants; raises ValueError on violation.
+    """Check every invariant of the node arrays once, over whole arrays;
+    raises ValueError on the first violation.
 
-    Verifies split positions are exact midpoints, children exactly partition
-    their parent, leaf counts sum to n, and a constant-order tree carries
-    theta = 0 in every leaf (the DistributionElement constructor checks the
-    range of theta and that empty leaves carry zero theta).
+    Shapes; n >= 1 and one column name per dimension; finite bounds and
+    strictly positive widths; |theta| <= 1; nonnegative counts summing to n;
+    count 0 at splits and theta 0 wherever the count is 0 (splits, empty
+    leaves) and everywhere in a constant-order tree; the topology (one tree
+    in preorder, lower child at i + 1, upper child just past the lower
+    subtree); children that partition their parent's box exactly at its
+    midpoint.
     """
-    total = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        cub = node.cuboid
-        if node.is_leaf:
-            de = node.body
-            if de.cuboid is not cub and not (
-                np.array_equal(de.cuboid.lower, cub.lower) and np.array_equal(de.cuboid.upper, cub.upper)
-            ):
-                raise ValueError("leaf element cuboid differs from its node cuboid")
-            if tree.order is MarginalOrder.CONSTANT and np.any(de.theta != 0.0):
-                raise ValueError("constant-order tree requires theta = 0 in every leaf")
-            total += de.count
-        else:
-            split = node.body
-            if not 0 <= split.dim < tree.dims:
-                raise ValueError(f"split dimension {split.dim} out of range")
-            if split.position != cub.midpoint(split.dim):
-                raise ValueError("split position is not the cuboid midpoint")
-            lo_c, up_c = split.lower_child.cuboid, split.upper_child.cuboid
-            expect_lo_upper = cub.upper.copy()
-            expect_lo_upper[split.dim] = split.position
-            expect_hi_lower = cub.lower.copy()
-            expect_hi_lower[split.dim] = split.position
-            if not (
-                np.array_equal(lo_c.lower, cub.lower)
-                and np.array_equal(lo_c.upper, expect_lo_upper)
-                and np.array_equal(up_c.lower, expect_hi_lower)
-                and np.array_equal(up_c.upper, cub.upper)
-            ):
-                raise ValueError("children do not exactly partition their parent cuboid")
-            stack.append(split.lower_child)
-            stack.append(split.upper_child)
+    lower, upper, theta, count, split_dim = tree.lower, tree.upper, tree.theta, tree.count, tree.split_dim
+    if lower.ndim != 2 or 0 in lower.shape:
+        raise ValueError("lower must be an (N, d) array with N, d >= 1")
+    nodes, d = lower.shape
+    if upper.shape != lower.shape or theta.shape != lower.shape:
+        raise ValueError(f"upper and theta must have the shape {lower.shape} of lower")
+    if any(a.shape != (nodes,) for a in (split_dim, tree.upper_child, count)):
+        raise ValueError(f"split_dim, upper_child and count need one entry per node ({nodes})")
+    if tree.n < 1:
+        raise ValueError("tree must be built from at least one sample")
+    if len(tree.column_names) != d:
+        raise ValueError("need one column name per dimension")
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError("box bounds must be finite")
+    if not np.all(lower < upper):
+        raise ValueError("box widths must be strictly positive")
+    bad = ~(np.abs(theta) <= 1.0)  # also catches NaN and infinities
+    if np.any(bad):
+        raise ValueError(f"theta must lie in [-1, 1], got {theta[bad][0]}")
+    if np.any(count < 0):
+        raise ValueError("counts must be nonnegative")
+    if np.any((split_dim < -1) | (split_dim >= d)):
+        raise ValueError(f"split dimensions must lie in [-1, {d})")
+    is_split = split_dim >= 0
+    if np.any(count[is_split] != 0):
+        raise ValueError("split nodes must carry count 0")
+    if np.any(theta[count == 0] != 0.0):
+        raise ValueError("empty leaves and split nodes must carry theta = 0")
+    if tree.order is MarginalOrder.CONSTANT and np.any(theta != 0.0):
+        raise ValueError("constant-order tree requires theta = 0 in every leaf")
+    total = sum(count.tolist())  # exact: an int64 sum could wrap
     if total != tree.n:
         raise ValueError(f"leaf counts sum to {total}, expected n = {tree.n}")
+
+    # In preorder the split flags alone fix the shape: the running balance of
+    # splits (+1) and leaves (-1) stays nonnegative before the last node and
+    # reaches -1 there exactly when the nodes form one tree, each reached once.
+    balance = np.cumsum(np.where(is_split, 1, -1))
+    if balance[-1] != -1 or np.any(balance[:-1] < 0):
+        raise ValueError("the nodes do not form one tree in preorder")
+    # The lower subtree of split i ends at the first node after i whose
+    # balance is balance[i] - 1; sorting (balance, id) keys finds it.
+    splits = np.flatnonzero(is_split)
+    keys = np.sort((balance + 1) * nodes + np.arange(nodes))
+    expected = np.full(nodes, -1)
+    expected[splits] = keys[np.searchsorted(keys, balance[splits] * nodes + splits + 1)] % nodes + 1
+    if not np.array_equal(tree.upper_child, expected):
+        raise ValueError("upper_child must point just past the lower child's subtree, and be -1 at leaves")
+
+    lo_child, hi_child, k = splits + 1, expected[splits], split_dim[splits]
+    rows = np.arange(splits.size)
+    cut = upper[lo_child, k]
+    lo_upper, hi_lower = upper[splits], lower[splits]
+    lo_upper[rows, k] = cut
+    hi_lower[rows, k] = cut
+    if not (
+        np.array_equal(lower[lo_child], lower[splits])
+        and np.array_equal(upper[lo_child], lo_upper)
+        and np.array_equal(lower[hi_child], hi_lower)
+        and np.array_equal(upper[hi_child], upper[splits])
+    ):
+        raise ValueError("children do not exactly partition their parent box")
+    if not np.array_equal(cut, (lower[splits, k] + upper[splits, k]) / 2.0):
+        raise ValueError("a split is not at the midpoint of its box")
 
 
 def _normalize(lo, hi, x):

@@ -2,8 +2,8 @@
 
 Reals are serialized with Python's shortest round-trip repr, so a document
 (or CSV) parses back to bit-identical floats and re-serializes to identical
-bytes. Tree documents are validated on load against the same invariants the
-builder guarantees.
+bytes. Tree documents are read with strict JSON types and validated on load
+against the same invariants the builder guarantees.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .build import Ensemble
-from .core import (
-    Cuboid,
-    DetNode,
-    DetTree,
-    DistributionElement,
-    MarginalOrder,
-    Split,
-    validate_tree,
-)
+from .core import DetTree, MarginalOrder, validate_tree
 
 __all__ = [
     "CsvFormatError",
@@ -45,6 +37,9 @@ FORMAT_VERSION = 1
 
 # rows formatted per string in write_csv: bounds the text held in memory
 _WRITE_BLOCK_ROWS = 8192
+
+# the Python types json.load gives JSON numbers; bool is not among them
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class CsvFormatError(ValueError):
@@ -112,33 +107,54 @@ def write_csv(path, points: np.ndarray, column_names: Sequence[str]) -> None:
 
 
 def tree_to_document(tree: DetTree) -> dict:
+    """The nested document of a tree, built from its node arrays without
+    recursion: children follow their parent in preorder, so a pass over the
+    nodes in reverse finds both children's records already built."""
+    lower, upper, theta = tree.lower.tolist(), tree.upper.tolist(), tree.theta.tolist()
+    split_dim, upper_child, count = tree.split_dim.tolist(), tree.upper_child.tolist(), tree.count.tolist()
+    records: list = [None] * len(split_dim)
+    for node in reversed(range(len(split_dim))):
+        record = {"lower": lower[node], "upper": upper[node]}
+        dim = split_dim[node]
+        if dim < 0:
+            record["count"] = count[node]
+            record["theta"] = theta[node]
+        else:
+            record["split"] = {"dim": dim, "position": (lower[node][dim] + upper[node][dim]) / 2.0}
+            record["children"] = [records[node + 1], records[upper_child[node]]]
+        records[node] = record
     return {
         "formatVersion": FORMAT_VERSION,
         "n": tree.n,
         "dims": tree.dims,
         "columnNames": list(tree.column_names),
         "order": tree.order.value,
-        "root": _node_to_record(tree.root),
+        "root": records[0],
     }
 
 
 def document_to_tree(doc: dict) -> DetTree:
+    """Read a tree document strictly: ``n``, ``dims``, ``count`` and split
+    ``dim`` must be JSON integers, bounds, ``theta`` and split ``position``
+    JSON numbers (never booleans or strings) and ``columnNames`` a list of
+    strings. The tree must pass ``validate_tree``."""
     if not isinstance(doc, dict):
         raise TreeDocumentError("tree document must be a JSON object")
     version = doc.get("formatVersion")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise TreeDocumentError(f"unknown formatVersion {version!r}, expected {FORMAT_VERSION}")
     try:
         order = MarginalOrder(doc["order"])
-        n = int(doc["n"])
-        dims = int(doc["dims"])
-        names = tuple(str(s) for s in doc["columnNames"])
-        root = _record_to_node(doc["root"], dims, where="root")
-        tree = DetTree(root=root, n=n, order=order, column_names=names)
+        n, dims, names = doc["n"], doc["dims"], doc["columnNames"]
+        if type(n) is not int or type(dims) is not int:
+            raise TreeDocumentError("'n' and 'dims' must be integers")
+        if type(names) is not list or not all(type(name) is str for name in names):
+            raise TreeDocumentError("'columnNames' must be a list of strings")
+        tree = DetTree(**_document_nodes(doc["root"], dims), n=n, order=order, column_names=tuple(names))
         validate_tree(tree)
     except TreeDocumentError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeDocumentError(f"invalid tree document: {exc}") from exc
     return tree
 
@@ -248,58 +264,49 @@ def _parse_row(row: list[str]):
         return None
 
 
-def _node_to_record(node: DetNode) -> dict:
-    record = {
-        "lower": [float(v) for v in node.cuboid.lower],
-        "upper": [float(v) for v in node.cuboid.upper],
-    }
-    if node.is_leaf:
-        de = node.body
-        record["count"] = de.count
-        record["theta"] = [float(t) for t in de.theta]
-    else:
-        split = node.body
-        record["split"] = {"dim": split.dim, "position": split.position}
-        record["children"] = [_node_to_record(split.lower_child), _node_to_record(split.upper_child)]
-    return record
+def _document_nodes(root, dims: int) -> dict:
+    """The preorder node arrays (as lists) of the nested ``root`` record, read
+    with an explicit stack. Checks each record's keys and JSON types, and
+    that each split position is its box's midpoint; errors name the record's
+    path (``root.children[0]...``)."""
+    nodes, upper_child = [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
+    stack = [(root, "root", -1)]  # (record, path, id of the parent whose upper child it is)
+    while stack:
+        record, where, parent = stack.pop()
+        if parent >= 0:
+            upper_child[parent] = len(nodes)
+        upper_child.append(-1)
+        if not isinstance(record, dict):
+            raise TreeDocumentError(f"{where}: node record must be an object")
+        lo, hi = record.get("lower"), record.get("upper")
+        if not (_numbers(lo, dims) and _numbers(hi, dims)):
+            raise TreeDocumentError(f"{where}: node needs 'lower' and 'upper' arrays of {dims} numbers")
+        if ("count" in record) == ("split" in record):
+            raise TreeDocumentError(f"{where}: node must have exactly one of 'count' (leaf) or 'split'")
+        if "count" in record:
+            if type(record["count"]) is not int:
+                raise TreeDocumentError(f"{where}: 'count' must be an integer")
+            if not _numbers(record.get("theta"), dims):
+                raise TreeDocumentError(f"{where}: leaf needs a 'theta' array of {dims} numbers")
+            nodes.append((lo, hi, -1, record["count"], record["theta"]))
+            continue
+        split, children = record["split"], record.get("children")
+        if not (isinstance(split, dict) and type(split.get("dim")) is int
+                and type(split.get("position")) in _NUMBER_TYPES):
+            raise TreeDocumentError(f"{where}: split needs an integer 'dim' and a number 'position'")
+        dim = split["dim"]
+        if not 0 <= dim < dims:
+            raise TreeDocumentError(f"{where}: split dimension {dim} out of range")
+        if split["position"] != (float(lo[dim]) + float(hi[dim])) / 2.0:
+            raise TreeDocumentError(f"{where}: split position is not the midpoint of the box")
+        if not isinstance(children, list) or len(children) != 2:
+            raise TreeDocumentError(f"{where}: split needs exactly two children")
+        nodes.append((lo, hi, dim, 0, [0.0] * dims))
+        stack.append((children[1], f"{where}.children[1]", len(nodes) - 1))
+        stack.append((children[0], f"{where}.children[0]", -1))
+    lower, upper, split_dim, count, theta = zip(*nodes)
+    return dict(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=count, theta=theta)
 
 
-def _record_to_node(record: dict, dims: int, where: str) -> DetNode:
-    if not isinstance(record, dict):
-        raise TreeDocumentError(f"{where}: node record must be an object")
-    lower = record.get("lower")
-    upper = record.get("upper")
-    if not isinstance(lower, list) or not isinstance(upper, list) or len(lower) != dims or len(upper) != dims:
-        raise TreeDocumentError(f"{where}: node needs 'lower' and 'upper' arrays of length {dims}")
-    try:
-        cuboid = Cuboid(np.array(lower, dtype=np.float64), np.array(upper, dtype=np.float64))
-    except ValueError as exc:
-        raise TreeDocumentError(f"{where}: {exc}") from exc
-
-    is_leaf = "count" in record
-    is_split = "split" in record
-    if is_leaf == is_split:
-        raise TreeDocumentError(f"{where}: node must have exactly one of 'count' (leaf) or 'split'")
-    if is_leaf:
-        theta = record.get("theta")
-        if not isinstance(theta, list) or len(theta) != dims:
-            raise TreeDocumentError(f"{where}: leaf needs a 'theta' array of length {dims}")
-        try:
-            theta = [float(t) for t in theta]
-            element = DistributionElement(cuboid=cuboid, count=int(record["count"]), theta=theta)
-        except ValueError as exc:
-            raise TreeDocumentError(f"{where}: {exc}") from exc
-        return DetNode(cuboid=cuboid, body=element)
-
-    split = record["split"]
-    children = record.get("children")
-    if not isinstance(split, dict) or "dim" not in split or "position" not in split:
-        raise TreeDocumentError(f"{where}: split needs 'dim' and 'position'")
-    if not isinstance(children, list) or len(children) != 2:
-        raise TreeDocumentError(f"{where}: split needs exactly two children")
-    lower_child = _record_to_node(children[0], dims, where=f"{where}.children[0]")
-    upper_child = _record_to_node(children[1], dims, where=f"{where}.children[1]")
-    return DetNode(
-        cuboid=cuboid,
-        body=Split(int(split["dim"]), float(split["position"]), lower_child, upper_child),
-    )
+def _numbers(values, length: int) -> bool:
+    return type(values) is list and len(values) == length and _NUMBER_TYPES.issuperset(map(type, values))

@@ -3,7 +3,7 @@
 One two-stage scheme serves both cases: pick a leaf by probability mass
 (categorical draw), then draw each remaining coordinate by inverse transform
 through the leaf's closed-form marginal quantiles. Conditioning restricts the
-categorical stage to the leaves whose cuboids contain the prescribed values
+categorical stage to the leaves whose boxes contain the prescribed values
 and reweights them by the marginal densities at those values; the prescribed
 coordinates pass through bit-identically. The unconditional case is the empty
 condition.
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DetNode, DetTree, DistributionElement, marginal_density, marginal_quantile
+from .core import DetTree, marginal_density, marginal_quantile
 
 __all__ = [
     "Condition",
@@ -75,19 +75,16 @@ class Condition:
 
 @dataclass(frozen=True, eq=False)
 class WeightedLeafSet:
-    """Leaves compatible with a condition, in lower-first depth-first order,
-    with their unnormalized selection weights mass_k * prod_i p_i(value_i)
-    and their bounds and slopes stacked into (k, d) arrays. The free
-    dimensions integrate to one inside each leaf, so ``total`` is the tree's
-    estimate of the marginal density at the conditioning point.
+    """Ids of the leaves compatible with a condition, in lower-first
+    depth-first (ascending) order, with their unnormalized selection weights
+    mass_k * prod_i p_i(value_i). The free dimensions integrate to one inside
+    each leaf, so ``total`` is the tree's estimate of the marginal density at
+    the conditioning point.
     """
 
-    leaves: list[DistributionElement]
+    leaves: np.ndarray
     weights: np.ndarray
     total: float
-    lower: np.ndarray
-    upper: np.ndarray
-    theta: np.ndarray
 
 
 def categorical_pick(weights, u) -> np.ndarray:
@@ -118,49 +115,49 @@ def sample_unconditional(tree: DetTree, seed: int, count: int) -> np.ndarray:
 def find_conditioned_leaves(
     tree: DetTree,
     cond: Condition,
-    on_visit: Optional[Callable[[DetNode], None]] = None,
+    on_visit: Optional[Callable[[int], None]] = None,
 ) -> WeightedLeafSet:
-    """Collect exactly the leaves whose cuboids contain every conditioned
+    """Collect exactly the leaves whose boxes contain every conditioned
     value (under the containment convention), weighted by leaf mass times the
     marginal densities at those values.
 
-    The root-to-leaf search prunes every branch whose cuboid excludes a
+    The root-to-leaf search prunes every branch whose box excludes a
     conditioned value: at a split on a conditioned dimension only the side
     containing the value is visited. ``on_visit`` is a diagnostics hook called
-    once per visited node, in depth-first order.
+    with the id of each visited node, in depth-first order.
     """
-    root = tree.root.cuboid
+    lower, upper, split_dim, upper_child = tree.lower, tree.upper, tree.split_dim, tree.upper_child
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
             raise ValueError(f"conditioned dimension {dim} out of range for a {tree.dims}-D tree")
-        if value < root.lower[dim] or value > root.upper[dim]:
+        if value < lower[0, dim] or value > upper[0, dim]:
             raise ValueError(f"conditioning value {value} for dimension {dim} lies outside the root cuboid")
 
     fixed = dict(cond.entries)
-    leaves: list[DistributionElement] = []
-    stack = [tree.root]
+    leaves = []
+    stack = [0]
     while stack:
         node = stack.pop()
         if on_visit is not None:
             on_visit(node)
-        if node.is_leaf:
-            leaves.append(node.body)
+        dim = split_dim.item(node)
+        if dim < 0:
+            leaves.append(node)
             continue
-        split = node.body
-        value = fixed.get(split.dim)
+        value = fixed.get(dim)
         if value is None:
-            stack.append(split.upper_child)
-            stack.append(split.lower_child)
+            stack.append(upper_child.item(node))
+            stack.append(node + 1)
+        elif value >= (lower.item(node, dim) + upper.item(node, dim)) / 2.0:
+            stack.append(upper_child.item(node))
         else:
-            stack.append(split.upper_child if value >= split.position else split.lower_child)
+            stack.append(node + 1)
 
-    lower = np.array([de.cuboid.lower for de in leaves])
-    upper = np.array([de.cuboid.upper for de in leaves])
-    theta = np.array([de.theta for de in leaves])
-    weights = np.array([de.count for de in leaves], dtype=np.float64) / tree.n
+    leaves = np.array(leaves, dtype=np.intp)
+    weights = tree.count[leaves] / tree.n
     for dim, value in cond.entries:
-        weights *= marginal_density(theta[:, dim], lower[:, dim], upper[:, dim], value)
-    return WeightedLeafSet(leaves, weights, float(weights.sum()), lower, upper, theta)
+        weights *= marginal_density(tree.theta[leaves, dim], lower[leaves, dim], upper[leaves, dim], value)
+    return WeightedLeafSet(leaves, weights, float(weights.sum()))
 
 
 def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) -> np.ndarray:
@@ -188,8 +185,9 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     # contiguous (count, free) operands keep the quantile's inner loops long
     coord_u = np.ascontiguousarray(u[:, 1:])
     del u
+    leaves = leaf_set.leaves
     coords = marginal_quantile(
-        leaf_set.theta[:, free][idx], leaf_set.lower[:, free][idx], leaf_set.upper[:, free][idx], coord_u
+        tree.theta[leaves][:, free][idx], tree.lower[leaves][:, free][idx], tree.upper[leaves][:, free][idx], coord_u
     )
     # allocated after the quantile's temporaries are gone, to lower the peak
     out = np.empty((count, d))

@@ -6,13 +6,10 @@ import pytest
 from dettree import (
     BuildConfig,
     Condition,
-    DetNode,
     DetTree,
-    DistributionElement,
     Ensemble,
     GaussianSpec,
     MarginalOrder,
-    Split,
     build_tree,
     det_density_many,
     estimate_theta,
@@ -22,6 +19,7 @@ from dettree import (
     sample_gaussian,
 )
 from dettree.build import fit_pvalue
+from dettree.io import FORMAT_VERSION
 
 REF_COV = np.array([[0.35, 0.25, 0.5], [0.25, 0.4, 0.6], [0.5, 0.6, 1.0]])
 
@@ -51,20 +49,25 @@ def build_random_tree(seed: int, n: int = 1000, d: int = 2, **config):
     return build_tree(random_ensemble(seed, n, d), BuildConfig(**config))
 
 
-def leaf_contains(tree: DetTree, de, x) -> bool:
+def leaf_ids(tree: DetTree) -> np.ndarray:
+    """Ids of the leaves, in depth-first order."""
+    return np.flatnonzero(tree.split_dim < 0)
+
+
+def leaf_contains(tree: DetTree, leaf: int, x) -> bool:
     """Brute-force containment convention: leaf intervals are closed below
-    and open above, except faces on the root cuboid's upper boundary."""
+    and open above, except faces on the root box's upper boundary."""
     x = np.asarray(x, dtype=np.float64)
-    lower, upper = de.cuboid.lower, de.cuboid.upper
-    closed = upper == tree.root.cuboid.upper
+    lower, upper = tree.lower[leaf], tree.upper[leaf]
+    closed = upper == tree.upper[0]
     return bool(np.all(x >= lower) and np.all((x < upper) | (closed & (x <= upper))))
 
 
-def leaf_at(tree: DetTree, x):
-    """The leaf the conditioned-leaf search routes ``x`` to, conditioning on
-    every coordinate; exactly one leaf contains a point of the root cuboid."""
+def leaf_at(tree: DetTree, x) -> int:
+    """Id of the leaf the conditioned-leaf search routes ``x`` to, conditioning
+    on every coordinate; exactly one leaf contains a point of the root box."""
     (leaf,) = find_conditioned_leaves(tree, Condition(list(enumerate(x)))).leaves
-    return leaf
+    return int(leaf)
 
 
 def leaf_density_sum(tree: DetTree, x) -> float:
@@ -72,39 +75,31 @@ def leaf_density_sum(tree: DetTree, x) -> float:
     marginal densities, zero outside the leaf (same arithmetic order as the
     library)."""
     total = 0.0
-    for de in tree.iter_leaves():
-        if not leaf_contains(tree, de, x):
+    for leaf in leaf_ids(tree):
+        if not leaf_contains(tree, leaf, x):
             continue
-        value = de.count / tree.n
+        value = int(tree.count[leaf]) / tree.n
         for i in range(tree.dims):
-            value *= marginal_density(de.theta[i], de.cuboid.lower[i], de.cuboid.upper[i], x[i])
+            value *= marginal_density(tree.theta[leaf, i], tree.lower[leaf, i], tree.upper[leaf, i], x[i])
         total += value
     return total
 
 
 def exhaustive_conditioned_leaves(tree: DetTree, cond: Condition):
-    """Brute-force oracle: scan every leaf, apply the containment convention
-    and the weight formula directly (same arithmetic order as the library)."""
-    root_upper = tree.root.cuboid.upper
-    leaves = []
-    weights = []
-    for de in tree.iter_leaves():
-        ok = True
-        for dim, value in cond.entries:
-            lo = de.cuboid.lower[dim]
-            hi = de.cuboid.upper[dim]
-            closed = hi == root_upper[dim]
-            if not (value >= lo and (value < hi or (closed and value <= hi))):
-                ok = False
-                break
-        if not ok:
-            continue
-        w = de.count / tree.n
-        for dim, value in cond.entries:
-            w *= marginal_density(de.theta[dim], float(de.cuboid.lower[dim]), float(de.cuboid.upper[dim]), value)
-        leaves.append(de)
-        weights.append(w)
-    return leaves, np.array(weights)
+    """Brute-force oracle: a mask over every leaf's bounds under the
+    containment convention, then the weight formula applied directly (same
+    arithmetic order as the library). Returns leaf ids and weights."""
+    leaves = leaf_ids(tree)
+    keep = np.ones(leaves.size, dtype=bool)
+    for dim, value in cond.entries:
+        lo, hi = tree.lower[leaves, dim], tree.upper[leaves, dim]
+        closed = hi == tree.upper[0, dim]
+        keep &= (value >= lo) & ((value < hi) | (closed & (value <= hi)))
+    leaves = leaves[keep]
+    weights = tree.count[leaves] / tree.n
+    for dim, value in cond.entries:
+        weights *= marginal_density(tree.theta[leaves, dim], tree.lower[leaves, dim], tree.upper[leaves, dim], value)
+    return leaves, weights
 
 
 def leafwise_quadrature_total(tree: DetTree) -> float:
@@ -113,9 +108,8 @@ def leafwise_quadrature_total(tree: DetTree) -> float:
     nodes = np.array([-1.0, 1.0]) / math.sqrt(3.0)
     d = tree.dims
     combos = nodes[np.array(list(np.ndindex(*([2] * d))))]  # (2^d, d)
-    leaves = list(tree.iter_leaves())
-    lower = np.array([de.cuboid.lower for de in leaves])
-    upper = np.array([de.cuboid.upper for de in leaves])
+    leaves = leaf_ids(tree)
+    lower, upper = tree.lower[leaves], tree.upper[leaves]
     half = (upper - lower) / 2.0
     center = (upper + lower) / 2.0
     points = center[:, None, :] + half[:, None, :] * combos[None, :, :]
@@ -123,34 +117,45 @@ def leafwise_quadrature_total(tree: DetTree) -> float:
     return float(np.sum(values.sum(axis=1) * np.prod(half, axis=1)))
 
 
-def reference_build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
+def leaf_tree(lower, upper, count: int, n: int, theta=None, order=MarginalOrder.LINEAR) -> DetTree:
+    """A one-node tree: the root box is a single leaf."""
+    lower = np.asarray(lower, dtype=np.float64)
+    theta = np.zeros_like(lower) if theta is None else theta
+    return DetTree(lower=[lower], upper=[upper], split_dim=[-1], upper_child=[-1], count=[count], theta=[theta],
+                   n=n, order=order)
+
+
+def reference_build_tree(ensemble: Ensemble, config: BuildConfig) -> dict:
     """Plain reference builder: every node regathers its samples from the
     full data through an index array, and a dimension takes part in the fit
     test and the split choice only if some node value differs from the
-    first. The library builder must produce the same tree bit for bit."""
-    box = root_cuboid(ensemble, config.bounds_padding_rel)
-    root = _reference_grow(ensemble.data, np.arange(ensemble.n), box, 0, config)
-    return DetTree(root=root, n=ensemble.n, order=config.order, column_names=ensemble.column_names)
+    first. Returns the tree document, which must equal the library
+    builder's bit for bit."""
+    lower, upper = root_cuboid(ensemble, config.bounds_padding_rel)
+    root = _reference_grow(ensemble.data, np.arange(ensemble.n), lower.tolist(), upper.tolist(), 0, config)
+    return {"formatVersion": FORMAT_VERSION, "n": ensemble.n, "dims": ensemble.dims,
+            "columnNames": list(ensemble.column_names), "order": config.order.value, "root": root}
 
 
-def _reference_grow(data, idx, box, depth, config) -> DetNode:
-    d = box.dims
+def _reference_grow(data, idx, lower: list, upper: list, depth: int, config) -> dict:
+    d = len(lower)
     count = int(idx.size)
     if config.order is MarginalOrder.LINEAR and count > 0:
-        thetas = [estimate_theta(data[idx, i], float(box.lower[i]), float(box.upper[i])) for i in range(d)]
+        thetas = [estimate_theta(data[idx, i], lower[i], upper[i]) for i in range(d)]
     else:
         thetas = [0.0] * d
     if count > config.min_leaf_count and depth < config.max_depth:
         varying = [i for i in range(d) if np.any(data[idx, i] != data[idx[0], i])]
         if varying:
-            pvalues = {
-                i: fit_pvalue(data[idx, i], float(box.lower[i]), float(box.upper[i]), thetas[i]) for i in varying
-            }
+            pvalues = {i: fit_pvalue(data[idx, i], lower[i], upper[i], thetas[i]) for i in varying}
             best = min(varying, key=lambda i: (pvalues[i], i))
-            if pvalues[best] < config.alpha and box.lower[best] < box.midpoint(best) < box.upper[best]:
-                position, lo_box, up_box = box.split(best)
+            position = (lower[best] + upper[best]) / 2.0
+            if pvalues[best] < config.alpha and lower[best] < position < upper[best]:
                 below = data[idx, best] < position
-                lower_child = _reference_grow(data, idx[below], lo_box, depth + 1, config)
-                upper_child = _reference_grow(data, idx[~below], up_box, depth + 1, config)
-                return DetNode(cuboid=box, body=Split(best, position, lower_child, upper_child))
-    return DetNode(cuboid=box, body=DistributionElement(cuboid=box, count=count, theta=thetas))
+                lo_upper, hi_lower = list(upper), list(lower)
+                lo_upper[best] = hi_lower[best] = position
+                children = [_reference_grow(data, idx[below], lower, lo_upper, depth + 1, config),
+                            _reference_grow(data, idx[~below], hi_lower, upper, depth + 1, config)]
+                return {"lower": lower, "upper": upper, "split": {"dim": best, "position": position},
+                        "children": children}
+    return {"lower": lower, "upper": upper, "count": count, "theta": thetas}

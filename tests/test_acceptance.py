@@ -96,16 +96,14 @@ def test_criterion_3_conditioned_leaf_search(gaussian_spec):
     for t in range(10):
         data = sample_gaussian(gaussian_spec, 9000 + t, 1000)
         tree = build_tree(Ensemble(data), BuildConfig())
-        root = tree.root.cuboid
         for _ in range(5):
             k = int(rng.integers(1, 3))
             dims = rng.choice(3, size=k, replace=False)
-            values = rng.uniform(root.lower[dims], root.upper[dims])
+            values = rng.uniform(tree.lower[0, dims], tree.upper[0, dims])
             cond = Condition(list(zip(dims.tolist(), values.tolist())))
             found = find_conditioned_leaves(tree, cond)
             leaves, weights = exhaustive_conditioned_leaves(tree, cond)
-            assert len(found.leaves) == len(leaves)
-            assert all(a is b for a, b in zip(found.leaves, leaves))
+            assert np.array_equal(found.leaves, leaves)  # the same leaf ids in the same order
             assert np.array_equal(found.weights, weights)
             pairs += 1
     _report(3, "pruned search equals exhaustive enumeration", pairs == 50,
@@ -176,8 +174,7 @@ def test_criterion_7_resampling_emulates_source():
     rebuilt = build_tree(Ensemble(sample_unconditional(source, 101, 100_000)), BuildConfig())
     fresh1 = build_tree(Ensemble(sample_gaussian(spec, 6, n_src)), BuildConfig())
     fresh2 = build_tree(Ensemble(sample_gaussian(spec, 7, n_src)), BuildConfig())
-    root = source.root.cuboid
-    grid = [(float(root.lower[i]), float(root.upper[i]), 41) for i in range(2)]
+    grid = [(float(source.lower[0, i]), float(source.upper[0, i]), 41) for i in range(2)]
     density = lambda tree: (lambda pts: det_density_many(tree, pts))
     fidelity = grid_ise(density(rebuilt), density(source), grid)
     baseline = grid_ise(density(fresh1), density(fresh2), grid)
@@ -209,18 +206,20 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
 
 
 def _leaf_occupancy(tree, pts: np.ndarray) -> np.ndarray:
-    order = {id(de): k for k, de in enumerate(tree.iter_leaves())}
+    """Points per leaf, in depth-first leaf order, routed down the split
+    structure (position = box midpoint, ties to the upper child)."""
+    order = {leaf: k for k, leaf in enumerate(np.flatnonzero(tree.split_dim < 0).tolist())}
     counts = np.zeros(len(order), dtype=np.int64)
-    stack = [(tree.root, np.arange(pts.shape[0]))]
+    stack = [(0, np.arange(pts.shape[0]))]
     while stack:
         node, idx = stack.pop()
+        dim = int(tree.split_dim[node])
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            counts[order[id(node.body)]] += idx.size
+        if dim < 0:
+            counts[order[node]] += idx.size
         else:
-            split = node.body
-            below = pts[idx, split.dim] < split.position
-            stack.append((split.lower_child, idx[below]))
-            stack.append((split.upper_child, idx[~below]))
+            below = pts[idx, dim] < (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+            stack.append((node + 1, idx[below]))
+            stack.append((int(tree.upper_child[node]), idx[~below]))
     return counts

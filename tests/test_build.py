@@ -22,7 +22,7 @@ from dettree import (
 from dettree.build import MAX_DEPTH_LIMIT, _threshold_pvalue, fit_pvalue
 from dettree.io import tree_to_document
 
-from conftest import leaf_at, random_ensemble, reference_build_tree
+from conftest import leaf_at, leaf_ids, random_ensemble, reference_build_tree
 
 
 def split_pvalue(values, lo, hi, theta):
@@ -47,23 +47,23 @@ class TestEnsemble:
 
 class TestRootCuboid:
     def test_no_padding(self):
-        box = root_cuboid(Ensemble(np.array([[0.0], [1.0]])), 0.0)
-        assert box.lower[0] == 0.0 and box.upper[0] == 1.0
+        lower, upper = root_cuboid(Ensemble(np.array([[0.0], [1.0]])), 0.0)
+        assert lower[0] == 0.0 and upper[0] == 1.0
 
     def test_degenerate_range(self):
-        box = root_cuboid(Ensemble(np.array([[5.0], [5.0]])), 1e-9)
-        assert box.lower[0] == pytest.approx(5.0 - 5e-9, rel=1e-12)
-        assert box.upper[0] == pytest.approx(5.0 + 5e-9, rel=1e-12)
+        lower, upper = root_cuboid(Ensemble(np.array([[5.0], [5.0]])), 1e-9)
+        assert lower[0] == pytest.approx(5.0 - 5e-9, rel=1e-12)
+        assert upper[0] == pytest.approx(5.0 + 5e-9, rel=1e-12)
 
     def test_relative_padding_per_dimension(self):
         rng = np.random.default_rng(3)
         data = rng.uniform(-4.0, 7.0, size=(50, 2))
-        box = root_cuboid(Ensemble(data), 0.01)
+        lower, upper = root_cuboid(Ensemble(data), 0.01)
         for i in range(2):
             lo, hi = data[:, i].min(), data[:, i].max()
-            assert box.lower[i] == pytest.approx(lo - 0.01 * (hi - lo))
-            assert box.upper[i] == pytest.approx(hi + 0.01 * (hi - lo))
-            assert box.upper[i] - box.lower[i] == pytest.approx(1.02 * (hi - lo))
+            assert lower[i] == pytest.approx(lo - 0.01 * (hi - lo))
+            assert upper[i] == pytest.approx(hi + 0.01 * (hi - lo))
+            assert upper[i] - lower[i] == pytest.approx(1.02 * (hi - lo))
 
 
 class TestEstimateTheta:
@@ -127,13 +127,13 @@ class TestBuildTree:
     def test_too_few_samples_single_leaf(self):
         ens = Ensemble(np.array([[0.0, 0.0], [1.0, 1.0]]))
         tree = build_tree(ens, BuildConfig(min_leaf_count=10))
-        assert tree.root.is_leaf
-        assert tree.root.body.count == 2
+        assert tree.split_dim.tolist() == [-1]
+        assert tree.count.tolist() == [2]
 
     def test_identical_samples_single_leaf(self):
         ens = Ensemble(np.full((100, 2), 3.25))
         tree = build_tree(ens, BuildConfig())
-        assert tree.root.is_leaf
+        assert tree.split_dim.tolist() == [-1]
 
     def test_uniform_data_stays_nearly_trivial(self):
         # the fit test should accept uniform data almost everywhere
@@ -143,10 +143,8 @@ class TestBuildTree:
             rng = np.random.default_rng(1000 + seed)
             ens = Ensemble(rng.uniform(0.0, 1.0, size=(10000, 2)))
             tree = build_tree(ens, BuildConfig(alpha=0.01))
-            leaves = list(tree.iter_leaves())
-            leaf_counts.append(len(leaves))
-            nodes = _count_nodes(tree)
-            accept_fractions.append(len(leaves) / nodes)
+            leaf_counts.append(leaf_ids(tree).size)
+            accept_fractions.append(leaf_ids(tree).size / tree.split_dim.size)
         assert np.median(leaf_counts) <= 10
         assert np.median(accept_fractions) >= 0.5  # leaves dominate over splits
 
@@ -158,57 +156,41 @@ class TestBuildTree:
             rng = np.random.default_rng(2000 + seed)
             ens = Ensemble(rng.uniform(0.0, 1.0, size=(10000, 2)))
             tree = build_tree(ens, BuildConfig(alpha=0.01))
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
-                examined += 1
-                if not node.is_leaf:
-                    splits += 1
-                    stack.append(node.body.lower_child)
-                    stack.append(node.body.upper_child)
+            examined += tree.split_dim.size
+            splits += int(np.count_nonzero(tree.split_dim >= 0))
         assert 1.0 - splits / examined >= 0.99
 
     @pytest.mark.parametrize("seed,d", [(31, 1), (32, 2), (33, 3)])
     def test_counts_conserved_and_samples_assigned(self, seed, d):
         ens = random_ensemble(seed, 2000, d)
         tree = build_tree(ens, BuildConfig())
-        leaves = list(tree.iter_leaves())
-        assert sum(de.count for de in leaves) == tree.n
+        assert tree.count.sum() == tree.n
         # reassign every sample through the finished tree and tally
-        tally = {id(de): 0 for de in leaves}
+        tally = np.zeros_like(tree.count)
         for x in ens.data:
-            tally[id(leaf_at(tree, x))] += 1
-        for de in leaves:
-            assert tally[id(de)] == de.count
+            tally[leaf_at(tree, x)] += 1
+        assert np.array_equal(tally, tree.count)
 
     def test_child_counts_sum_at_every_split(self):
         ens = random_ensemble(41, 3000, 2)
         tree = build_tree(ens, BuildConfig())
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                split = node.body
-                assert _subtree_count(node) == _subtree_count(split.lower_child) + _subtree_count(
-                    split.upper_child
-                )
-                assert split.position == node.cuboid.midpoint(split.dim)
-                stack.extend([split.lower_child, split.upper_child])
+        for node in np.flatnonzero(tree.split_dim >= 0):
+            dim, hi = tree.split_dim[node], tree.upper_child[node]
+            assert _subtree_count(tree, node) == _subtree_count(tree, node + 1) + _subtree_count(tree, hi)
+            cut = (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+            assert tree.upper[node + 1, dim] == cut == tree.lower[hi, dim]
 
     def test_depth_bound(self):
         ens = random_ensemble(51, 5000, 2)
         tree = build_tree(ens, BuildConfig(max_depth=3, min_leaf_count=1))
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.body.lower_child), depth(node.body.upper_child))
-        assert depth(tree.root) <= 3
+        assert _depths(tree).max() <= 3
 
     def test_deterministic(self):
         ens = random_ensemble(61, 2000, 3)
         t1 = build_tree(ens, BuildConfig())
         t2 = build_tree(ens, BuildConfig())
-        assert _structure(t1.root) == _structure(t2.root)
+        for name in ("lower", "upper", "split_dim", "upper_child", "count", "theta"):
+            assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes()
 
     def test_ulp_wide_box_becomes_a_leaf(self):
         # the root box [0, 5e-324] has no midpoint strictly inside it
@@ -224,11 +206,7 @@ class TestBuildTree:
         data = np.concatenate([np.zeros(50), np.full(50, 1e-300), [1.0]])[:, None]
         tree = build_tree(Ensemble(data), BuildConfig(max_depth=MAX_DEPTH_LIMIT))
         validate_tree(tree)
-        depth, node = 0, tree.root
-        while not node.is_leaf:
-            depth += 1
-            node = max(node.body.lower_child, node.body.upper_child, key=lambda c: _subtree_count(c))
-        assert depth == MAX_DEPTH_LIMIT
+        assert _depths(tree).max() == MAX_DEPTH_LIMIT
 
     def test_atoms_do_not_cascade_to_max_depth(self):
         # a 3-valued integer column next to a normal one: nodes on an atom
@@ -239,28 +217,22 @@ class TestBuildTree:
         data = np.column_stack([rng.integers(0, 3, n).astype(np.float64), rng.standard_normal(n)])
         tree = build_tree(Ensemble(data), BuildConfig())
         validate_tree(tree)
-        leaves = list(tree.iter_leaves())
-        assert len(leaves) <= 30
-        assert sum(de.count == 0 for de in leaves) <= 2
-        assert _depth(tree.root) <= 8
+        leaves = leaf_ids(tree)
+        assert leaves.size <= 30
+        assert np.count_nonzero(tree.count[leaves] == 0) <= 2
+        assert _depths(tree).max() <= 8
 
     def test_constant_dimension_is_never_split(self):
         rng = np.random.default_rng(1)
         data = np.column_stack([rng.standard_normal(3000), np.full(3000, 2.5)])
         tree = build_tree(Ensemble(data), BuildConfig())
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                assert node.body.dim == 0
-                stack.extend([node.body.lower_child, node.body.upper_child])
+        assert set(tree.split_dim.tolist()) <= {-1, 0}
 
     def test_constant_order_has_zero_theta(self):
         ens = random_ensemble(71, 2000, 2)
         tree = build_tree(ens, BuildConfig(order=MarginalOrder.CONSTANT))
         assert tree.order is MarginalOrder.CONSTANT
-        for de in tree.iter_leaves():
-            assert np.all(de.theta == 0.0)
+        assert np.all(tree.theta == 0.0)
 
 
 def _column(kind: str, rng, n: int) -> np.ndarray:
@@ -308,42 +280,25 @@ class TestBuildMatchesReference:
         tree = build_tree(ens, config)
         expected = reference_build_tree(ens, config)
         # json.dumps writes floats by repr, so equal text means equal bits
-        assert json.dumps(tree_to_document(tree)) == json.dumps(tree_to_document(expected))
+        assert json.dumps(tree_to_document(tree)) == json.dumps(expected)
         validate_tree(tree)
         assert math.fsum(leaf_mass(de, tree.n) for de in tree.iter_leaves()) == pytest.approx(1.0, abs=1e-12)
 
 
-def _count_nodes(tree) -> int:
-    total = 0
-    stack = [tree.root]
+def _depths(tree) -> np.ndarray:
+    """Depth of every node; in preorder each parent precedes its children."""
+    depth = np.zeros(tree.split_dim.size, dtype=np.intp)
+    for node in np.flatnonzero(tree.split_dim >= 0):
+        depth[node + 1] = depth[tree.upper_child[node]] = depth[node] + 1
+    return depth
+
+
+def _subtree_count(tree, node: int) -> int:
+    total, stack = 0, [node]
     while stack:
         node = stack.pop()
-        total += 1
-        if not node.is_leaf:
-            stack.extend([node.body.lower_child, node.body.upper_child])
+        if tree.split_dim[node] < 0:
+            total += int(tree.count[node])
+        else:
+            stack.extend([node + 1, tree.upper_child[node]])
     return total
-
-
-def _depth(node) -> int:
-    deepest = 0
-    stack = [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if not node.is_leaf:
-            stack.extend([(node.body.lower_child, depth + 1), (node.body.upper_child, depth + 1)])
-    return deepest
-
-
-def _subtree_count(node) -> int:
-    if node.is_leaf:
-        return node.body.count
-    return _subtree_count(node.body.lower_child) + _subtree_count(node.body.upper_child)
-
-
-def _structure(node):
-    if node.is_leaf:
-        de = node.body
-        return ("leaf", de.count, de.theta.tobytes(), node.cuboid.lower.tobytes(), node.cuboid.upper.tobytes())
-    split = node.body
-    return ("split", split.dim, split.position, _structure(split.lower_child), _structure(split.upper_child))

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from dettree import (
-    Cuboid,
+    BuildConfig,
     DetTree,
-    DistributionElement,
+    Ensemble,
     MarginalOrder,
+    build_tree,
     det_density_many,
     leaf_mass,
     marginal_cdf,
@@ -14,52 +17,48 @@ from dettree import (
     marginal_quantile,
     validate_tree,
 )
-from dettree.core import DetNode
 
-from conftest import build_random_tree, leaf_at, leaf_contains, leaf_density_sum, leafwise_quadrature_total
+from conftest import (
+    build_random_tree,
+    leaf_at,
+    leaf_contains,
+    leaf_density_sum,
+    leaf_ids,
+    leaf_tree,
+    leafwise_quadrature_total,
+)
 
 LIN = MarginalOrder.LINEAR
 CONST = MarginalOrder.CONSTANT
 
 
-def unit_element(d: int = 2, count: int = 1, thetas=None) -> DistributionElement:
-    thetas = thetas if thetas is not None else [0.0] * d
-    return DistributionElement(cuboid=Cuboid(np.zeros(d), np.ones(d)), count=count, theta=thetas)
-
-
-def leaf_tree(de: DistributionElement, n: int, order=LIN) -> DetTree:
-    return DetTree(root=DetNode(cuboid=de.cuboid, body=de), n=n, order=order)
-
-
-def single_leaf_tree(d: int = 2, n: int = 1) -> DetTree:
-    return leaf_tree(unit_element(d=d, count=n), n)
+def unit_tree(d: int = 2, count: int = 1, n=None, thetas=None, order=LIN) -> DetTree:
+    """One leaf on the unit cube holding ``count`` of ``n`` samples (default n = count)."""
+    return leaf_tree(np.zeros(d), np.ones(d), count, count if n is None else n, thetas, order)
 
 
 class TestMarginalModel:
     def test_theta_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="theta"):
-            unit_element(d=1, thetas=[1.5])
-        with pytest.raises(ValueError, match="theta"):
-            unit_element(d=1, thetas=[-1.0000001])
-        with pytest.raises(ValueError, match="theta"):
-            unit_element(d=1, thetas=[np.nan])
+        for theta in (1.5, -1.0000001, np.nan):
+            with pytest.raises(ValueError, match="theta"):
+                validate_tree(unit_tree(d=1, thetas=[theta]))
 
     def test_constant_requires_zero_theta(self):
-        validate_tree(leaf_tree(unit_element(d=2, count=4), 4, order=CONST))
+        validate_tree(unit_tree(d=2, count=4, order=CONST))
         with pytest.raises(ValueError, match="constant-order"):
-            validate_tree(leaf_tree(unit_element(d=2, count=4, thetas=[0.3, 0.0]), 4, order=CONST))
+            validate_tree(unit_tree(d=2, count=4, thetas=[0.3, 0.0], order=CONST))
 
     def test_one_theta_per_dimension(self):
-        with pytest.raises(ValueError):
-            unit_element(d=2, thetas=[0.0])
+        with pytest.raises(ValueError, match="shape"):
+            validate_tree(unit_tree(d=2, thetas=[0.0]))
 
     def test_theta_is_a_read_only_copy(self):
         thetas = np.array([0.25, -0.5])
-        de = unit_element(d=2, thetas=thetas)
+        tree = unit_tree(d=2, thetas=thetas)
         thetas[0] = 0.75
-        assert de.theta.tolist() == [0.25, -0.5]
+        assert tree.theta[0].tolist() == [0.25, -0.5]
         with pytest.raises(ValueError):
-            de.theta[0] = 0.0
+            tree.theta[0, 0] = 0.0
 
 
 class TestMarginalDensity:
@@ -172,33 +171,31 @@ class TestMarginalQuantile:
 
 class TestElementDensity:
     def test_uniform_unit_square(self):
-        tree = leaf_tree(unit_element(count=10), 10)
-        assert det_density_many(tree, [[0.3, 0.7]])[0] == 1.0
+        assert det_density_many(unit_tree(count=10), [[0.3, 0.7]])[0] == 1.0
 
     def test_outside_cuboid_is_zero(self):
-        tree = leaf_tree(unit_element(count=10), 10)
-        assert det_density_many(tree, [[1.5, 0.5]])[0] == 0.0
+        assert det_density_many(unit_tree(count=10), [[1.5, 0.5]])[0] == 0.0
 
     def test_half_count_linear(self):
-        tree = leaf_tree(unit_element(count=5, thetas=[1.0, 0.0]), 10)
+        tree = unit_tree(count=5, n=10, thetas=[1.0, 0.0])
         assert det_density_many(tree, [[0.5, 0.5]])[0] == 0.5
         assert leafwise_quadrature_total(tree) == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            det_density_many(leaf_tree(unit_element(), 1), [[0.5, 0.5, 0.5]])
+            det_density_many(unit_tree(), [[0.5, 0.5, 0.5]])
 
     def test_empty_element_requires_zero_theta(self):
-        with pytest.raises(ValueError):
-            unit_element(count=0, thetas=[0.5, 0.0])
+        with pytest.raises(ValueError, match="theta = 0"):
+            validate_tree(unit_tree(count=0, n=1, thetas=[0.5, 0.0]))
 
 
 class TestLeafMass:
     def test_ratio(self):
-        assert leaf_mass(unit_element(count=250), 1000) == 0.25
+        assert leaf_mass(unit_tree(count=250, n=1000).root, 1000) == 0.25
 
     def test_empty(self):
-        assert leaf_mass(unit_element(count=0), 1000) == 0.0
+        assert leaf_mass(unit_tree(count=0, n=1000).root, 1000) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_quadrature_identity(self, seed):
@@ -206,24 +203,23 @@ class TestLeafMass:
         rng = np.random.default_rng(seed)
         lower = rng.uniform(-3.0, 0.0, size=3)
         upper = lower + rng.uniform(0.5, 2.0, size=3)
-        de = DistributionElement(cuboid=Cuboid(lower, upper), count=313, theta=rng.uniform(-1.0, 1.0, size=3))
-        assert leafwise_quadrature_total(leaf_tree(de, 1000)) == pytest.approx(leaf_mass(de, 1000), abs=1e-10)
+        tree = leaf_tree(lower, upper, 313, 1000, rng.uniform(-1.0, 1.0, size=3))
+        assert leafwise_quadrature_total(tree) == pytest.approx(leaf_mass(tree.root, 1000), abs=1e-10)
 
 
 class TestDetDensity:
     def test_single_leaf_uniform(self):
-        tree = single_leaf_tree(d=2)
+        tree = unit_tree(d=2)
         assert det_density_many(tree, [[0.4, 0.9]])[0] == 1.0
 
     def test_outside_root(self):
-        tree = single_leaf_tree(d=2)
+        tree = unit_tree(d=2)
         assert det_density_many(tree, [[1.4, 0.9]])[0] == 0.0
 
     def test_matches_exhaustive_leaf_sum(self, gaussian_tree_small):
         tree = gaussian_tree_small
         rng = np.random.default_rng(99)
-        root = tree.root.cuboid
-        points = np.vstack([np.zeros(3), rng.uniform(root.lower, root.upper, size=(50, 3)), root.upper])
+        points = np.vstack([np.zeros(3), rng.uniform(tree.lower[0], tree.upper[0], size=(50, 3)), tree.upper[0]])
         values = det_density_many(tree, points)
         for x, value in zip(points, values):
             assert value == leaf_density_sum(tree, x)
@@ -245,24 +241,18 @@ class TestTreeInvariants:
     @pytest.mark.parametrize("seed,d", [(11, 1), (12, 2), (13, 3)])
     def test_point_in_exactly_one_leaf(self, seed, d):
         tree = build_random_tree(seed, n=1000, d=d)
-        root = tree.root.cuboid
         rng = np.random.default_rng(seed)
-        points = [rng.uniform(root.lower, root.upper) for _ in range(100)]
+        points = [rng.uniform(tree.lower[0], tree.upper[0]) for _ in range(100)]
         # split-boundary points: every split position, other coordinates random
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                split = node.body
-                x = rng.uniform(node.cuboid.lower, node.cuboid.upper)
-                x[split.dim] = split.position
-                points.append(x)
-                stack.extend([split.lower_child, split.upper_child])
-        points.append(root.upper.copy())  # root's closed top corner
+        for node in np.flatnonzero(tree.split_dim >= 0):
+            dim = tree.split_dim[node]
+            x = rng.uniform(tree.lower[node], tree.upper[node])
+            x[dim] = (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+            points.append(x)
+        points.append(tree.upper[0].copy())  # root's closed top corner
         for x in points:
-            holders = [de for de in tree.iter_leaves() if leaf_contains(tree, de, x)]
-            assert len(holders) == 1
-            assert leaf_at(tree, x) is holders[0]
+            holders = [leaf for leaf in leaf_ids(tree) if leaf_contains(tree, leaf, x)]
+            assert holders == [leaf_at(tree, x)]
 
     @pytest.mark.parametrize("seed,d", [(21, 1), (22, 2), (23, 3)])
     def test_per_leaf_quadrature_sums_to_one(self, seed, d):
@@ -273,28 +263,118 @@ class TestTreeInvariants:
         validate_tree(gaussian_tree_small)
 
     def test_validate_tree_rejects_bad_count(self, gaussian_tree_small):
-        tree = DetTree(
-            root=gaussian_tree_small.root,
-            n=gaussian_tree_small.n + 1,
-            order=gaussian_tree_small.order,
-            column_names=gaussian_tree_small.column_names,
-        )
-        with pytest.raises(ValueError):
+        tree = dataclasses.replace(gaussian_tree_small, n=gaussian_tree_small.n + 1)
+        with pytest.raises(ValueError, match="leaf counts sum"):
             validate_tree(tree)
+
+    def test_node_arrays_are_read_only(self, gaussian_tree_small):
+        for name in ("lower", "upper", "split_dim", "upper_child", "count", "theta"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(gaussian_tree_small, name)[0] = 0
+
+    def test_handles_read_the_arrays(self, gaussian_tree_small):
+        # the node-by-node reads of bench/workloads.py, served by handles
+        tree = gaussian_tree_small
+        root = tree.root
+        assert np.array_equal(root.cuboid.lower, tree.lower[0]) and np.array_equal(root.cuboid.upper, tree.upper[0])
+        assert not root.is_leaf
+        assert root.body.lower_child.id == 1 and root.body.upper_child.id == tree.upper_child[0]
+        leaves = list(tree.iter_leaves())
+        assert [leaf.id for leaf in leaves] == leaf_ids(tree).tolist()
+        assert all(leaf.is_leaf and leaf.body.count == tree.count[leaf.id] for leaf in leaves)
+        assert sum(leaf_mass(leaf, tree.n) for leaf in leaves) == pytest.approx(1.0, abs=1e-12)
+
+
+def _set(name: str, index, value):
+    """Corruption writing ``value`` (or ``value(arrays)``) to one array entry."""
+    def corrupt(a: dict) -> None:
+        a[name][index] = value(a) if callable(value) else value
+    return corrupt
+
+
+def _empty_leaf_with_theta(a: dict) -> None:
+    first, second = np.flatnonzero(a["split_dim"] < 0)[:2]
+    a["count"][first] += a["count"][second]
+    a["count"][second] = 0
+    a["theta"][second, 0] = 0.5
+
+
+def _move_cut_off_midpoint(a: dict) -> None:
+    # a split whose children are both leaves: moving their shared face keeps the partition
+    for node in np.flatnonzero(a["split_dim"] >= 0):
+        hi = a["upper_child"][node]
+        if a["split_dim"][node + 1] < 0 and a["split_dim"][hi] < 0:
+            k = a["split_dim"][node]
+            a["upper"][node + 1, k] = a["lower"][hi, k] = a["lower"][node, k] * 0.7 + a["upper"][node, k] * 0.3
+            return
+    raise AssertionError("no split with two leaf children")
+
+
+def _append_unreachable_leaf(a: dict) -> None:
+    for name in a:
+        a[name] = np.concatenate([a[name], a[name][-1:]])
+    a["count"][-1] = 0
+    a["theta"][-1] = 0.0
+
+
+CORRUPTIONS = {  # kind: (corruption of the node arrays, expected message)
+    "non-finite bound": (_set("lower", (-1, 0), -np.inf), "finite"),
+    "lower not below upper": (_set("upper", (-1, 0), lambda a: a["lower"][-1, 0]), "widths"),
+    "theta above 1": (_set("theta", (-1, 0), 1.5), r"theta must lie in \[-1, 1\]"),
+    "theta NaN": (_set("theta", (-1, 0), np.nan), r"theta must lie in \[-1, 1\]"),
+    "theta in an empty leaf": (_empty_leaf_with_theta, "empty leaves"),
+    "theta at a split": (_set("theta", (0, 0), 0.1), "empty leaves and split nodes"),
+    "count at a split": (_set("count", 0, 1), "split nodes must carry count 0"),
+    "negative count": (_set("count", -1, -1), "nonnegative"),
+    "counts not summing to n": (_set("count", -1, lambda a: a["count"][-1] + 1), "leaf counts sum"),
+    "split dimension out of range": (_set("split_dim", 0, 7), "split dimensions"),
+    "child not partitioning its parent": (_set("upper", (1, 1), lambda a: a["upper"][1, 1] - 1e-3), "partition"),
+    "off-midpoint split": (_move_cut_off_midpoint, "midpoint"),
+    "upper child out of range": (_set("upper_child", 0, 10**6), "upper_child"),
+    "upper child pointing backwards": (_set("upper_child", 1, 0), "upper_child"),
+    "upper child at a leaf": (_set("upper_child", -1, 0), "upper_child"),
+    "unreachable node": (_append_unreachable_leaf, "one tree"),
+}
+
+
+class TestValidateTreeRejectsCorruptArrays:
+    @pytest.mark.parametrize("kind", list(CORRUPTIONS))
+    def test_one_invariant_broken(self, kind):
+        tree = build_random_tree(5, n=3000, d=2)
+        assert tree.split_dim[1] >= 0, "need a split below the root for this seed"
+        names = ("lower", "upper", "split_dim", "upper_child", "count", "theta")
+        arrays = {name: getattr(tree, name).copy() for name in names}
+        validate_tree(DetTree(**arrays, n=tree.n, order=tree.order))
+        corrupt, message = CORRUPTIONS[kind]
+        corrupt(arrays)
+        with pytest.raises(ValueError, match=message):
+            validate_tree(DetTree(**arrays, n=tree.n, order=tree.order))
+
+    def test_theta_in_a_constant_order_tree(self):
+        tree = build_random_tree(5, n=3000, d=2)
+        with pytest.raises(ValueError, match="constant-order"):
+            validate_tree(dataclasses.replace(tree, order=CONST))
 
 
 class TestCuboid:
+    """Boxes are rows of the node arrays; validate_tree checks them."""
+
     def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            Cuboid(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="widths"):
+            validate_tree(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Cuboid(np.array([0.0]), np.array([np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            validate_tree(leaf_tree([0.0], [np.inf], 1, 1))
 
     def test_split_is_exact_partition(self):
-        cub = Cuboid(np.array([0.0, -1.0]), np.array([1.0, 3.0]))
-        position, lo, hi = cub.split(1)
-        assert position == 1.0
-        assert np.array_equal(lo.upper, np.array([1.0, 1.0]))
-        assert np.array_equal(hi.lower, np.array([0.0, 1.0]))
+        # x2 sits at both ends of [-1, 3], so the root splits along it at 1.0
+        rng = np.random.default_rng(0)
+        x1 = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 398)])
+        x2 = np.repeat([-1.0, 3.0], 200)
+        tree = build_tree(Ensemble(np.column_stack([x1, x2])), BuildConfig(bounds_padding_rel=0.0))
+        hi = tree.upper_child[0]
+        assert tree.split_dim[0] == 1
+        assert tree.lower[0].tolist() == [0.0, -1.0] and tree.upper[0].tolist() == [1.0, 3.0]
+        assert tree.lower[1].tolist() == [0.0, -1.0] and tree.upper[1].tolist() == [1.0, 1.0]
+        assert tree.lower[hi].tolist() == [0.0, 1.0] and tree.upper[hi].tolist() == [1.0, 3.0]

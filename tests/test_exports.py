@@ -1,5 +1,5 @@
 """Export drift: every exported name resolves, and the README's Library
-example uses only names the package exports."""
+example uses only names the package exports and runs as written."""
 
 import importlib
 import os
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dettree
@@ -25,13 +26,25 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-def test_readme_library_block_uses_exported_names():
-    text = README.read_text()
-    block = re.search(r"## Library\s+```python\n(.*?)```", text, re.S)
+def _library_block() -> str:
+    block = re.search(r"## Library\s+```python\n(.*?)```", README.read_text(), re.S)
     assert block is not None, "README has no Library code block"
-    used = set(re.findall(r"\bdt\.(\w+)", block.group(1)))
+    return block.group(1)
+
+
+def test_readme_library_block_uses_exported_names():
+    used = set(re.findall(r"\bdt\.(\w+)", _library_block()))
     assert used, "Library block uses no dt.<name>"
     assert sorted(used - set(dettree.__all__)) == []
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    cov = np.array([[0.35, 0.25, 0.5], [0.25, 0.4, 0.6], [0.5, 0.6, 1.0]])
+    data = dettree.sample_gaussian(dettree.GaussianSpec(mu=np.zeros(3), cov=cov), 3, 2000)
+    dettree.write_csv(tmp_path / "data.csv", data, ["x1", "x2", "x3"])
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_library_block(), str(README), "exec"), {})
+    assert dettree.read_tree(tmp_path / "tree.json").n == 2000
 
 
 def test_import_loads_no_scipy():

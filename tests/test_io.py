@@ -281,3 +281,72 @@ class TestWriteTreeGolden:
         assert path.read_bytes() == expected
         write_tree(path, read_tree(path))
         assert path.read_bytes() == expected
+
+
+def _split_document() -> dict:
+    """A valid 1-D document: [0, 1] split at 0.5 into leaves of 1 and 2 samples."""
+    return {
+        "formatVersion": 1, "n": 3, "dims": 1, "columnNames": ["x1"], "order": "linear",
+        "root": {"lower": [0.0], "upper": [1.0], "split": {"dim": 0, "position": 0.5}, "children": [
+            {"lower": [0.0], "upper": [0.5], "count": 1, "theta": [0.5]},
+            {"lower": [0.5], "upper": [1.0], "count": 2, "theta": [-0.25]},
+        ]},
+    }
+
+
+def _edit(*changes):
+    """Edit setting each (path, value): the path lists keys and list indices from the document top."""
+    def edit(doc: dict) -> None:
+        for path, value in changes:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+    return edit
+
+
+LEAF = ("root", "children", 1)
+COUNT, THETA, UPPER = LEAF + ("count",), LEAF + ("theta", 0), LEAF + ("upper", 0)
+DIM, POSITION = ("root", "split", "dim"), ("root", "split", "position")
+WRONG_TYPES = {  # kind: (edit, text the error must contain)
+    "float count and n": (_edit((COUNT, 2.7), (("n",), 3.7)), "'n' and 'dims' must be integers"),
+    "float count": (_edit((COUNT, 2.0)), "root.children[1]: 'count' must be an integer"),
+    "boolean count": (_edit((COUNT, True), (("n",), 2)), "root.children[1]: 'count' must be an integer"),
+    "string theta": (_edit((THETA, "-0.25")), "root.children[1]: leaf needs a 'theta' array of 1 numbers"),
+    "boolean theta": (_edit((THETA, False)), "root.children[1]: leaf needs a 'theta' array of 1 numbers"),
+    "string bound": (_edit((UPPER, "1e0")), "root.children[1]: node needs 'lower' and 'upper' arrays"),
+    "boolean bound": (_edit((UPPER, True)), "root.children[1]: node needs 'lower' and 'upper' arrays"),
+    "string dims": (_edit((("dims",), "1")), "'n' and 'dims' must be integers"),
+    "float n": (_edit((("n",), 3.0)), "'n' and 'dims' must be integers"),
+    "string column names": (_edit((("columnNames",), "x")), "'columnNames' must be a list of strings"),
+    "numeric column name": (_edit((("columnNames",), [1])), "'columnNames' must be a list of strings"),
+    "float split dim": (_edit((DIM, 0.0)), "root: split needs an integer 'dim' and a number 'position'"),
+    "boolean split dim": (_edit((DIM, False)), "root: split needs an integer 'dim' and a number 'position'"),
+    "string split position": (_edit((POSITION, "0.5")), "root: split needs an integer 'dim' and a number 'position'"),
+}
+
+
+class TestStrictJsonTypes:
+    def test_split_document_is_valid(self):
+        tree = document_to_tree(_split_document())
+        assert tree.count.tolist() == [0, 1, 2]
+        assert tree_to_document(tree) == _split_document()
+
+    @pytest.mark.parametrize("kind", list(WRONG_TYPES))
+    def test_wrong_json_type_rejected(self, kind):
+        edit, message = WRONG_TYPES[kind]
+        doc = _split_document()
+        edit(doc)
+        with pytest.raises(TreeDocumentError) as info:
+            document_to_tree(doc)
+        assert message in str(info.value)
+
+    def test_cli_exits_2_on_wrong_json_type(self, tmp_path, capsys):
+        from dettree.cli import main
+
+        doc = _split_document()
+        _edit((COUNT, 2.0))(doc)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--tree", str(path), "--n", "5", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "root.children[1]: 'count' must be an integer" in capsys.readouterr().err

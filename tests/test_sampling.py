@@ -3,9 +3,7 @@ import pytest
 
 from dettree import (
     Condition,
-    Cuboid,
     DetTree,
-    DistributionElement,
     MarginalOrder,
     categorical_pick,
     find_conditioned_leaves,
@@ -15,28 +13,21 @@ from dettree import (
     sample_moments,
     sample_unconditional,
 )
-from dettree.core import DetNode, Split
 
-from conftest import exhaustive_conditioned_leaves, leaf_at
+from conftest import exhaustive_conditioned_leaves, leaf_at, leaf_ids, leaf_tree
 
 LIN = MarginalOrder.LINEAR
 
 
 def uniform_leaf_tree(d: int, n: int = 100) -> DetTree:
-    cuboid = Cuboid(np.zeros(d), np.ones(d))
-    de = DistributionElement(cuboid=cuboid, count=n, theta=np.zeros(d))
-    return DetTree(root=DetNode(cuboid=cuboid, body=de), n=n, order=LIN)
+    return leaf_tree(np.zeros(d), np.ones(d), n, n)
 
 
 def two_leaf_tree(count_lower: int, count_upper: int) -> DetTree:
-    """Root [0,1]^2 split along dim 0 at 0.5."""
-    root_box = Cuboid(np.zeros(2), np.ones(2))
-    position, lo_box, up_box = root_box.split(0)
-    def leaf(box, count):
-        de = DistributionElement(cuboid=box, count=count, theta=np.zeros(2))
-        return DetNode(cuboid=box, body=de)
-    split = Split(0, position, leaf(lo_box, count_lower), leaf(up_box, count_upper))
-    return DetTree(root=DetNode(cuboid=root_box, body=split), n=count_lower + count_upper, order=LIN)
+    """Root [0,1]^2 (node 0) split along dim 0 at 0.5 into leaves 1 and 2."""
+    return DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
+                   split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, count_lower, count_upper],
+                   theta=np.zeros((3, 2)), n=count_lower + count_upper, order=LIN)
 
 
 class TestCategoricalPick:
@@ -108,11 +99,10 @@ class TestSampleUnconditional:
     def test_support_and_determinism(self, gaussian_tree_small):
         tree = gaussian_tree_small
         pts = sample_unconditional(tree, 5, 2000)
-        root = tree.root.cuboid
-        assert np.all(pts >= root.lower) and np.all(pts <= root.upper)
+        assert np.all(pts >= tree.lower[0]) and np.all(pts <= tree.upper[0])
         for x in pts[:100]:
             leaf = leaf_at(tree, x)
-            assert np.all(x >= leaf.cuboid.lower) and np.all(x <= leaf.cuboid.upper)
+            assert np.all(x >= tree.lower[leaf]) and np.all(x <= tree.upper[leaf])
         assert np.array_equal(pts, sample_unconditional(tree, 5, 2000))
 
     def test_draw_order_contract(self):
@@ -123,15 +113,7 @@ class TestSampleUnconditional:
         assert np.array_equal(pts, u[:, 1:])
 
     def test_empty_tree_rejected(self):
-        tree = uniform_leaf_tree(2)
-        empty = DetTree(
-            root=DetNode(
-                cuboid=tree.root.cuboid,
-                body=DistributionElement(cuboid=tree.root.cuboid, count=0, theta=np.zeros(2)),
-            ),
-            n=1,
-            order=LIN,
-        )
+        empty = leaf_tree(np.zeros(2), np.ones(2), 0, 1)
         with pytest.raises(ValueError):
             sample_unconditional(empty, 0, 10)
 
@@ -148,37 +130,36 @@ class TestFindConditionedLeaves:
         visited = []
         find_conditioned_leaves(tree, Condition([(0, 0.75)]), on_visit=visited.append)
         # conditioned value in the upper half: lower subtree never visited
-        assert len(visited) == 2
+        assert visited == [0, 2]
         x = np.array([0.75, 0.5])
-        assert all(np.all(node.cuboid.lower <= x) and np.all(x <= node.cuboid.upper) for node in visited)
+        assert all(np.all(tree.lower[node] <= x) and np.all(x <= tree.upper[node]) for node in visited)
 
     def test_boundary_value_goes_upper(self):
         tree = two_leaf_tree(50, 50)
         found = find_conditioned_leaves(tree, Condition([(0, 0.5)]))
-        assert len(found.leaves) == 1
-        assert found.leaves[0].cuboid.lower[0] == 0.5
+        assert found.leaves.tolist() == [2]
+        assert tree.lower[2, 0] == 0.5
 
     def test_matches_exhaustive_enumeration(self, gaussian_tree_small):
         tree = gaussian_tree_small
         rng = np.random.default_rng(17)
-        root = tree.root.cuboid
         for _ in range(20):
             k = rng.integers(1, 3)
             dims = rng.choice(3, size=k, replace=False)
-            values = rng.uniform(root.lower[dims], root.upper[dims])
+            values = rng.uniform(tree.lower[0, dims], tree.upper[0, dims])
             cond = Condition(list(zip(dims.tolist(), values.tolist())))
             found = find_conditioned_leaves(tree, cond)
             leaves, weights = exhaustive_conditioned_leaves(tree, cond)
-            assert len(found.leaves) == len(leaves)
-            for a, b in zip(found.leaves, leaves):
-                assert a is b
+            assert np.array_equal(found.leaves, leaves)
             assert np.array_equal(found.weights, weights)
 
     def test_leaf_arrays_follow_leaf_order(self, gaussian_tree_small):
-        found = find_conditioned_leaves(gaussian_tree_small, Condition([(1, 0.2)]))
-        assert np.array_equal(found.lower, [de.cuboid.lower for de in found.leaves])
-        assert np.array_equal(found.upper, [de.cuboid.upper for de in found.leaves])
-        assert np.array_equal(found.theta, [de.theta for de in found.leaves])
+        tree = gaussian_tree_small
+        found = find_conditioned_leaves(tree, Condition([(1, 0.2)]))
+        # leaf ids ascend, which is the depth-first leaf order; weights align with them
+        assert np.all(np.diff(found.leaves) > 0)
+        assert np.all(tree.split_dim[found.leaves] == -1)
+        assert found.weights.shape == found.leaves.shape
         assert found.total == found.weights.sum()
 
     def test_visits_in_depth_first_order(self, gaussian_tree_small):
@@ -186,20 +167,19 @@ class TestFindConditionedLeaves:
         visited = []
         found = find_conditioned_leaves(tree, Condition(), visited.append)
         expected = []
-        stack = [tree.root]
+        stack = [0]
         while stack:
             node = stack.pop()
             expected.append(node)
-            if not node.is_leaf:
-                stack.extend([node.body.upper_child, node.body.lower_child])
-        assert len(visited) == len(expected)
-        assert all(a is b for a, b in zip(visited, expected))
-        assert all(a is b for a, b in zip(found.leaves, tree.iter_leaves()))
+            if tree.split_dim[node] >= 0:
+                stack.extend([int(tree.upper_child[node]), node + 1])
+        assert visited == expected == list(range(tree.split_dim.size))  # preorder ids
+        assert np.array_equal(found.leaves, leaf_ids(tree))
 
     def test_value_outside_root_rejected(self, gaussian_tree_small):
-        root = gaussian_tree_small.root.cuboid
+        upper = gaussian_tree_small.upper[0]
         with pytest.raises(ValueError):
-            find_conditioned_leaves(gaussian_tree_small, Condition([(0, float(root.upper[0]) + 1.0)]))
+            find_conditioned_leaves(gaussian_tree_small, Condition([(0, float(upper[0]) + 1.0)]))
 
     def test_dim_out_of_range_rejected(self, gaussian_tree_small):
         with pytest.raises(ValueError):
@@ -262,7 +242,7 @@ class TestSampleConditional:
         cond = Condition([(0, 0.3)])
         pts = sample_conditional(tree, cond, 13, 2000)
         found = find_conditioned_leaves(tree, cond)
-        boxes = [(leaf.cuboid.lower, leaf.cuboid.upper) for leaf in found.leaves]
+        boxes = [(tree.lower[leaf], tree.upper[leaf]) for leaf in found.leaves]
         for x in pts[:200]:
             assert any(np.all(x >= lo) and np.all(x <= hi) for lo, hi in boxes)
 
