@@ -96,11 +96,15 @@ class BuildConfig:
             raise ValueError("bounds_padding_rel must be nonnegative")
 
 
+# A range beyond the float64 maximum overflows to inf (and zero padding times
+# inf gives NaN); the width check rejects it, so no numpy warning is raised.
+@np.errstate(over="ignore", invalid="ignore")
 def root_cuboid(ensemble: Ensemble, padding_rel: float) -> tuple[np.ndarray, np.ndarray]:
     """Bounding box ``(lower, upper)`` of the data, each side padded by
     ``padding_rel`` times the per-dimension range. A zero-range dimension is
     padded by ``padding_rel * max(1, |value|)`` so every width is strictly
-    positive.
+    positive. Raises ValueError if a bound or a width is not a finite
+    float64.
     """
     lo = ensemble.data.min(axis=0)
     hi = ensemble.data.max(axis=0)
@@ -116,8 +120,8 @@ def root_cuboid(ensemble: Ensemble, padding_rel: float) -> tuple[np.ndarray, np.
     if np.any(bad):
         lower = np.where(bad, np.nextafter(lo, -np.inf), lower)
         upper = np.where(bad, np.nextafter(hi, np.inf), upper)
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ValueError("the padded data range overflows: box bounds must be finite")
+    if not np.all(np.isfinite(upper - lower)):  # also false for infinite or NaN bounds
+        raise ValueError("the padded data range overflows: box bounds and widths must be finite")
     return lower, upper
 
 

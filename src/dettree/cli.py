@@ -393,3 +393,7 @@ def _parse_params(text: str) -> dict:
             raise UsageError(f"--params: duplicate key {key!r}")
         params[key] = value.strip()
     return params
+
+
+if __name__ == "__main__":
+    sys.exit(main())

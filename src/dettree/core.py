@@ -138,15 +138,16 @@ def marginal_density(theta, lo, hi, x):
     t = (x - lo)/(hi - lo). Nonnegative on [lo, hi] and integrates to one.
     Every argument may be a float or an array (broadcast elementwise).
     """
-    t = _normalize(lo, hi, x)
-    return (1.0 + theta * (2.0 * t - 1.0)) / (hi - lo)
+    _check_support(lo, hi, x)
+    return _density(theta, lo, hi, x)
 
 
 def marginal_cdf(theta, lo, hi, x):
     """CDF of the marginal: F(t) = (1 - theta)*t + theta*t^2, evaluated as
     t*(1 + theta*(t - 1)) so the endpoints land on exactly 0 and 1.
     """
-    t = _normalize(lo, hi, x)
+    _check_support(lo, hi, x)
+    t = (x - lo) / (hi - lo)
     return t * (1.0 + theta * (t - 1.0))
 
 
@@ -158,8 +159,22 @@ def marginal_quantile(theta, lo, hi, y):
     """
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError("quantile argument must lie in [0, 1]")
-    if not np.all(lo < hi):
-        raise ValueError("need lo < hi")
+    _check_widths(lo, hi)
+    return _quantile(theta, lo, hi, y)
+
+
+# Unchecked arithmetic of marginal_density and marginal_quantile, for callers
+# whose routing or RNG already guarantees the arguments: lo < hi checked once
+# per call on the leaf tables, x inside [lo, hi] by the containment
+# convention, y in [0, 1) by the generator.
+
+
+def _density(theta, lo, hi, x):
+    t = (x - lo) / (hi - lo)
+    return (1.0 + theta * (2.0 * t - 1.0)) / (hi - lo)
+
+
+def _quantile(theta, lo, hi, y):
     denom = (1.0 - theta) + np.sqrt(np.maximum((1.0 - theta) ** 2 + 4.0 * theta * y, 0.0))
     # denom vanishes only at theta = 1, y = 0, where t = y = 0 is exact
     uniform_like = (np.abs(theta) < THETA_TINY) | (denom <= 0.0)
@@ -181,6 +196,7 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != tree.dims:
         raise ValueError(f"points must have shape (m, {tree.dims})")
+    _check_widths(tree.lower, tree.upper)  # once per call; the routing keeps each point inside its leaf
     cols = np.array(pts.T, order="C")
     inside = np.all(cols >= tree.lower[0, :, None], axis=0) & np.all(cols <= tree.upper[0, :, None], axis=0)
     if not inside.all():  # copy only to drop points outside the root box
@@ -199,7 +215,7 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
         elif tree.count[node] > 0:
             values = np.full(idx.size, int(tree.count[node]) / tree.n)
             lo, hi = tree.lower[node, :, None], tree.upper[node, :, None]
-            for factor in marginal_density(tree.theta[node, :, None], lo, hi, cols):
+            for factor in _density(tree.theta[node, :, None], lo, hi, cols):
                 values *= factor
             out[idx] = values
     return out
@@ -292,9 +308,12 @@ def validate_tree(tree: DetTree) -> None:
         raise ValueError("a split is not at the midpoint of its box")
 
 
-def _normalize(lo, hi, x):
+def _check_widths(lo, hi) -> None:
     if not np.all(lo < hi):
         raise ValueError("need lo < hi")
+
+
+def _check_support(lo, hi, x) -> None:
+    _check_widths(lo, hi)
     if not np.all((x >= lo) & (x <= hi)):
         raise ValueError("x lies outside the marginal support [lo, hi]")
-    return (x - lo) / (hi - lo)

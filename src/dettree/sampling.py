@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DetTree, marginal_density, marginal_quantile
+from .core import DetTree, _check_widths, _density, _quantile
 
 __all__ = [
     "Condition",
@@ -95,7 +95,11 @@ def categorical_pick(weights, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("u must lie in [0, 1)")
-    weights = np.asarray(weights, dtype=np.float64)
+    return _pick(np.asarray(weights, dtype=np.float64), u)
+
+
+def _pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # categorical_pick without the per-draw check of u, for generator output
     cum = np.cumsum(weights)
     if cum.size == 0 or cum[-1] <= 0.0 or np.any(weights < 0.0):
         raise ValueError("weights must be nonnegative with a positive sum")
@@ -121,42 +125,41 @@ def find_conditioned_leaves(
     value (under the containment convention), weighted by leaf mass times the
     marginal densities at those values.
 
-    The root-to-leaf search prunes every branch whose box excludes a
-    conditioned value: at a split on a conditioned dimension only the side
-    containing the value is visited. ``on_visit`` is a diagnostics hook called
-    with the id of each visited node, in depth-first order.
+    One boolean mask per conditioned dimension over all node boxes keeps the
+    nodes whose interval [lower, upper) holds the value, closed on the root's
+    upper face. A node's box lies inside its parent's, so the kept nodes are
+    exactly those a root-to-leaf search visits when it prunes every branch
+    whose box excludes a value; their leaves are the result. ``on_visit`` is a
+    diagnostics hook called with the id of each such node in ascending order,
+    which is the depth-first preorder; the empty condition visits every node.
     """
-    lower, upper, split_dim, upper_child = tree.lower, tree.upper, tree.split_dim, tree.upper_child
+    lower, upper, split_dim = tree.lower, tree.upper, tree.split_dim
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
             raise ValueError(f"conditioned dimension {dim} out of range for a {tree.dims}-D tree")
         if value < lower[0, dim] or value > upper[0, dim]:
             raise ValueError(f"conditioning value {value} for dimension {dim} lies outside the root cuboid")
 
-    fixed = dict(cond.entries)
-    leaves = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if on_visit is not None:
+    if cond.entries:
+        keep = None
+        for dim, value in cond.entries:
+            lo, hi = lower[:, dim], upper[:, dim]
+            inside = (lo <= value) & ((value < hi) | (hi == hi[0]))
+            keep = inside if keep is None else keep & inside
+        visited = np.flatnonzero(keep)
+        leaves = visited[split_dim[visited] < 0]
+    else:
+        visited = np.arange(split_dim.size)
+        leaves = np.flatnonzero(split_dim < 0)
+    if on_visit is not None:
+        for node in visited.tolist():
             on_visit(node)
-        dim = split_dim.item(node)
-        if dim < 0:
-            leaves.append(node)
-            continue
-        value = fixed.get(dim)
-        if value is None:
-            stack.append(upper_child.item(node))
-            stack.append(node + 1)
-        elif value >= (lower.item(node, dim) + upper.item(node, dim)) / 2.0:
-            stack.append(upper_child.item(node))
-        else:
-            stack.append(node + 1)
 
-    leaves = np.array(leaves, dtype=np.intp)
     weights = tree.count[leaves] / tree.n
     for dim, value in cond.entries:
-        weights *= marginal_density(tree.theta[leaves, dim], lower[leaves, dim], upper[leaves, dim], value)
+        lo, hi = lower[leaves, dim], upper[leaves, dim]
+        _check_widths(lo, hi)  # the mask already holds each value inside [lo, hi]
+        weights *= _density(tree.theta[leaves, dim], lo, hi, value)
     return WeightedLeafSet(leaves, weights, float(weights.sum()))
 
 
@@ -181,14 +184,16 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     # One row per sample: leaf draw first, then one draw per free dimension
     # in ascending order (C-order fill matches sequential consumption).
     u = rng.random((count, 1 + free.size))
-    idx = categorical_pick(leaf_set.weights, u[:, 0])
+    idx = _pick(leaf_set.weights, u[:, 0])
     # contiguous (count, free) operands keep the quantile's inner loops long
     coord_u = np.ascontiguousarray(u[:, 1:])
     del u
-    leaves = leaf_set.leaves
-    coords = marginal_quantile(
-        tree.theta[leaves][:, free][idx], tree.lower[leaves][:, free][idx], tree.upper[leaves][:, free][idx], coord_u
-    )
+    # (leaves, free) tables, checked once here instead of per sample; the
+    # generator keeps every uniform in [0, 1)
+    rows = np.ix_(leaf_set.leaves, free)
+    theta, lo, hi = tree.theta[rows], tree.lower[rows], tree.upper[rows]
+    _check_widths(lo, hi)
+    coords = _quantile(theta.take(idx, axis=0), lo.take(idx, axis=0), hi.take(idx, axis=0), coord_u)
     # allocated after the quantile's temporaries are gone, to lower the peak
     out = np.empty((count, d))
     out[:, free] = coords

@@ -102,6 +102,50 @@ def exhaustive_conditioned_leaves(tree: DetTree, cond: Condition):
     return leaves, weights
 
 
+def pruned_search_conditioned_leaves(tree: DetTree, cond: Condition):
+    """Reference root-to-leaf search: a depth-first walk, lower child first,
+    that at a split on a conditioned dimension visits only the side holding
+    the value (the upper side from the midpoint on). Returns the leaf ids,
+    their weights (same arithmetic order as the library) and the visited
+    node ids in visit order."""
+    fixed = dict(cond.entries)
+    leaves, visited = [], []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        visited.append(node)
+        dim = int(tree.split_dim[node])
+        if dim < 0:
+            leaves.append(node)
+            continue
+        value = fixed.get(dim)
+        upper_child = int(tree.upper_child[node])
+        if value is None:
+            stack.extend([upper_child, node + 1])
+        elif value >= (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0:
+            stack.append(upper_child)
+        else:
+            stack.append(node + 1)
+    leaves = np.array(leaves, dtype=np.intp)
+    weights = tree.count[leaves] / tree.n
+    for dim, value in cond.entries:
+        weights *= marginal_density(tree.theta[leaves, dim], tree.lower[leaves, dim], tree.upper[leaves, dim], value)
+    return leaves, weights, visited
+
+
+def assert_search_matches_oracles(tree: DetTree, cond: Condition) -> None:
+    """The library search must equal both the exhaustive leaf mask and the
+    pruned depth-first search: leaf ids, weight bits and visit sequence."""
+    visited = []
+    found = find_conditioned_leaves(tree, cond, visited.append)
+    dfs_leaves, dfs_weights, dfs_visited = pruned_search_conditioned_leaves(tree, cond)
+    for leaves, weights in (exhaustive_conditioned_leaves(tree, cond), (dfs_leaves, dfs_weights)):
+        assert np.array_equal(found.leaves, leaves)  # the same leaf ids in the same order
+        assert found.weights.tobytes() == weights.tobytes()
+    assert visited == dfs_visited
+    assert found.total == found.weights.sum()
+
+
 def leafwise_quadrature_total(tree: DetTree) -> float:
     """Independent mass oracle: 2-point tensor Gauss-Legendre per leaf (exact
     for the per-dimension linear densities), summed through det_density_many."""

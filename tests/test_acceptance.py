@@ -17,7 +17,6 @@ from dettree import (
     build_tree,
     det_density_many,
     dirichlet_conditional_cdf,
-    find_conditioned_leaves,
     gaussian_conditional,
     grid_ise,
     ks_test,
@@ -33,7 +32,7 @@ from dettree.cli import main as cli_main
 
 from conftest import (
     REF_COV,
-    exhaustive_conditioned_leaves,
+    assert_search_matches_oracles,
     leafwise_quadrature_total,
     random_ensemble,
 )
@@ -100,14 +99,10 @@ def test_criterion_3_conditioned_leaf_search(gaussian_spec):
             k = int(rng.integers(1, 3))
             dims = rng.choice(3, size=k, replace=False)
             values = rng.uniform(tree.lower[0, dims], tree.upper[0, dims])
-            cond = Condition(list(zip(dims.tolist(), values.tolist())))
-            found = find_conditioned_leaves(tree, cond)
-            leaves, weights = exhaustive_conditioned_leaves(tree, cond)
-            assert np.array_equal(found.leaves, leaves)  # the same leaf ids in the same order
-            assert np.array_equal(found.weights, weights)
+            assert_search_matches_oracles(tree, Condition(list(zip(dims.tolist(), values.tolist()))))
             pairs += 1
-    _report(3, "pruned search equals exhaustive enumeration", pairs == 50,
-            f"{pairs} random (tree, condition) pairs: identical leaf sets, bit-equal weights")
+    _report(3, "search equals exhaustive enumeration and pruned depth-first search", pairs == 50,
+            f"{pairs} random (tree, condition) pairs: identical leaf sets and visit order, bit-equal weights")
 
 
 def test_criterion_4_leaf_occupancy_chi_square(gaussian_spec):

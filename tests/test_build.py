@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ class TestRootCuboid:
         lower, upper = root_cuboid(Ensemble(np.array([[5.0], [5.0]])), 1e-9)
         assert lower[0] == pytest.approx(5.0 - 5e-9, rel=1e-12)
         assert upper[0] == pytest.approx(5.0 + 5e-9, rel=1e-12)
+
+    @pytest.mark.parametrize("padding", [0.0, 1e-9])
+    def test_overflowing_range_rejected_without_warnings(self, padding):
+        # finite data whose range exceeds the float64 maximum
+        ens = Ensemble(np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                root_cuboid(ens, padding)
+            with pytest.raises(ValueError, match="overflows"):
+                build_tree(ens, BuildConfig(bounds_padding_rel=padding))
 
     def test_relative_padding_per_dimension(self):
         rng = np.random.default_rng(3)

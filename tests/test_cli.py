@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dettree
 from dettree import det_density_many, read_csv, read_tree, write_csv
 from dettree.build import MAX_DEPTH_LIMIT
 from dettree.cli import main
@@ -81,10 +87,39 @@ class TestBuild:
         assert run("build", "--in", str(data), "--out", str(out), "--max-depth", str(MAX_DEPTH_LIMIT)) == 0
         assert run("sample", "--tree", str(out), "--n", "10", "--out", str(tmp_path / "s.csv")) == 0
 
+    @pytest.mark.parametrize("padding", ["0", "1e-9"])
+    def test_overflowing_range_is_data_error(self, tmp_path, capsys, padding):
+        data = tmp_path / "huge.csv"
+        write_csv(data, np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5]]), ["x1", "x2"])
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("build", "--in", str(data), "--out", str(out), "--padding", padding) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err and "Warning" not in err
+
     def test_builds_valid_tree(self, tree_path):
         tree = read_tree(tree_path)
         assert tree.n == 5000
         assert tree.dims == 3
+
+
+class TestRunAsModule:
+    @pytest.mark.parametrize("module", ["dettree", "dettree.cli"])
+    def test_python_m_runs_main(self, tmp_path, gaussian_csv, module):
+        path = [str(Path(dettree.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+        def python_m(*argv):
+            return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env)
+
+        out = tmp_path / "t.json"
+        done = python_m("build", "--in", str(gaussian_csv), "--out", str(out))
+        assert done.returncode == 0, done.stderr.decode()
+        assert read_tree(out).n == 5000
+        # the exit code of main is the process's
+        assert python_m("build", "--in", str(tmp_path / "absent.csv"), "--out", str(out)).returncode == 1
 
 
 class TestSample:

@@ -79,6 +79,10 @@ class TestMarginalDensity:
         with pytest.raises(ValueError):
             marginal_density(0.0, 0.0, 1.0, 1.5)
 
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            marginal_density(0.0, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("theta", np.linspace(-1.0, 1.0, 9).tolist())
     def test_normalization_and_nonnegativity(self, theta):
         mass, _ = quad(lambda x: marginal_density(theta, -2.0, 5.0, x), -2.0, 5.0)
@@ -119,6 +123,10 @@ class TestMarginalCdf:
         with pytest.raises(ValueError):
             marginal_cdf(0.0, 0.0, 1.0, -0.1)
 
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            marginal_cdf(0.0, 1.0, 1.0, 1.0)
+
 
 class TestMarginalQuantile:
     def test_uniform_midpoint(self):
@@ -142,6 +150,11 @@ class TestMarginalQuantile:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             marginal_quantile(0.0, 0.0, 1.0, 1.2)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_support_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            marginal_quantile(0.0, lo, hi, 0.5)
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)
@@ -223,6 +236,11 @@ class TestDetDensity:
         values = det_density_many(tree, points)
         for x, value in zip(points, values):
             assert value == leaf_density_sum(tree, x)
+
+    def test_zero_width_leaf_rejected(self):
+        # a hand-built tree that never went through validate_tree
+        with pytest.raises(ValueError, match="lo < hi"):
+            det_density_many(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), [[0.5, 0.0]])
 
     def test_dimension_mismatch(self, gaussian_tree_small):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dettree import (
     Condition,
@@ -14,7 +16,14 @@ from dettree import (
     sample_unconditional,
 )
 
-from conftest import exhaustive_conditioned_leaves, leaf_at, leaf_ids, leaf_tree
+from conftest import (
+    assert_search_matches_oracles,
+    build_random_tree,
+    leaf_at,
+    leaf_ids,
+    leaf_tree,
+    pruned_search_conditioned_leaves,
+)
 
 LIN = MarginalOrder.LINEAR
 
@@ -147,11 +156,7 @@ class TestFindConditionedLeaves:
             k = rng.integers(1, 3)
             dims = rng.choice(3, size=k, replace=False)
             values = rng.uniform(tree.lower[0, dims], tree.upper[0, dims])
-            cond = Condition(list(zip(dims.tolist(), values.tolist())))
-            found = find_conditioned_leaves(tree, cond)
-            leaves, weights = exhaustive_conditioned_leaves(tree, cond)
-            assert np.array_equal(found.leaves, leaves)
-            assert np.array_equal(found.weights, weights)
+            assert_search_matches_oracles(tree, Condition(list(zip(dims.tolist(), values.tolist()))))
 
     def test_leaf_arrays_follow_leaf_order(self, gaussian_tree_small):
         tree = gaussian_tree_small
@@ -166,13 +171,7 @@ class TestFindConditionedLeaves:
         tree = gaussian_tree_small
         visited = []
         found = find_conditioned_leaves(tree, Condition(), visited.append)
-        expected = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            expected.append(node)
-            if tree.split_dim[node] >= 0:
-                stack.extend([int(tree.upper_child[node]), node + 1])
+        expected = pruned_search_conditioned_leaves(tree, Condition())[2]
         assert visited == expected == list(range(tree.split_dim.size))  # preorder ids
         assert np.array_equal(found.leaves, leaf_ids(tree))
 
@@ -184,6 +183,42 @@ class TestFindConditionedLeaves:
     def test_dim_out_of_range_rejected(self, gaussian_tree_small):
         with pytest.raises(ValueError):
             find_conditioned_leaves(gaussian_tree_small, Condition([(7, 0.0)]))
+
+    def test_zero_width_leaf_rejected(self):
+        # a hand-built tree that never went through validate_tree
+        with pytest.raises(ValueError, match="lo < hi"):
+            find_conditioned_leaves(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), Condition([(1, 0.0)]))
+
+
+@st.composite
+def search_cases(draw):
+    """(tree, condition) pairs: small generated trees in 1-3 dimensions,
+    min_leaf_count=2 among them, conditioned on any subset of dimensions at
+    split midpoints, root faces or interior points."""
+    d = draw(st.integers(1, 3))
+    tree = build_random_tree(draw(st.integers(0, 2**32 - 1)), n=draw(st.integers(1, 500)), d=d,
+                             min_leaf_count=draw(st.sampled_from([2, 10])), alpha=draw(st.sampled_from([0.01, 0.5])))
+    entries = []
+    for dim in draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d)):
+        lo, hi = float(tree.lower[0, dim]), float(tree.upper[0, dim])
+        splits = np.flatnonzero(tree.split_dim == dim)
+        kind = draw(st.sampled_from(["midpoint", "root face", "interior"]))
+        if kind == "midpoint" and splits.size:
+            node = splits[draw(st.integers(0, splits.size - 1))]
+            value = (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+        elif kind == "interior":
+            value = draw(st.floats(lo, hi))
+        else:
+            value = draw(st.sampled_from([lo, hi]))
+        entries.append((dim, float(value)))
+    return tree, Condition(entries)
+
+
+class TestSearchProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=search_cases())
+    def test_equals_both_oracles(self, case):
+        assert_search_matches_oracles(*case)
 
 
 class TestConditionalMarginalEstimate:
@@ -231,6 +266,16 @@ class TestSampleConditional:
     def test_all_dims_conditioned_rejected(self, gaussian_tree_small):
         with pytest.raises(ValueError):
             sample_conditional(gaussian_tree_small, Condition([(0, 0.0), (1, 0.0), (2, 0.0)]), 1, 10)
+
+    def test_zero_width_leaf_rejected(self):
+        # a free dimension of zero width in a hand-built tree that never went through validate_tree
+        with pytest.raises(ValueError, match="lo < hi"):
+            sample_unconditional(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), 0, 10)
+        tree = DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 0.0]],
+                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 1, 1], theta=np.zeros((3, 2)),
+                       n=2, order=LIN)
+        with pytest.raises(ValueError, match="lo < hi"):
+            sample_conditional(tree, Condition([(0, 0.75)]), 0, 10)
 
     def test_zero_density_condition_rejected(self):
         tree = two_leaf_tree(100, 0)
