@@ -25,12 +25,20 @@ Containment convention: leaf intervals are closed below and open above,
 [l, u), except that a face lying on the root box's upper boundary is closed.
 This makes the leaves an exact partition of the root box, so every point
 (including split boundaries) belongs to exactly one leaf.
+
+Derived tables. The search and the sampler read tables that a tree derives
+from its node arrays on first use (``DetTree._tables``), one contiguous row
+per dimension: the node bounds, with each face on the root's upper boundary
+stored as +inf so a box holds v exactly when lower <= v < upper_open; theta;
+the quantile coefficients; and the leaf flag and leaf mass count/n. They
+assume that the read-only node arrays never change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -49,6 +57,9 @@ __all__ = [
 
 # Below this, the linear quantile formula degrades to the uniform one.
 THETA_TINY = 1e-10
+# The quantile's denominator vanishes only at theta = 1, y = 0, where this
+# floor makes t = 0 / floor = y exact without a division by zero.
+_DENOM_FLOOR = np.nextafter(0.0, 1.0)
 
 _NODE_ARRAYS = (
     ("lower", np.float64),
@@ -114,6 +125,42 @@ class DetTree:
         """Leaves in depth-first order, lower child before upper child."""
         return (DetNode(self, node) for node in np.flatnonzero(self.split_dim < 0).tolist())
 
+    @cached_property
+    def _tables(self) -> "_NodeTables":
+        """The derived tables of the module docstring, built on first use."""
+        lower, upper, theta = (np.ascontiguousarray(x.T) for x in (self.lower, self.upper, self.theta))
+        closed = upper == upper[:, :1]  # faces on the root's upper boundary
+        # a draw is capped below an open upper face, which belongs to the neighbour
+        cap = np.where(closed, upper, np.nextafter(upper, lower))
+        quantile = _quantile_coefficients(theta, lower, upper, cap)
+        tables = _NodeTables(
+            lower=quantile[0],
+            width=quantile[1],
+            upper_open=np.where(closed, np.inf, upper),
+            theta=theta,
+            is_leaf=self.split_dim < 0,
+            mass=self.count / self.n,
+            quantile=quantile,
+        )
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
+
+class _NodeTables(NamedTuple):
+    """Per-dimension node columns: (d, N) ``lower``, ``width``,
+    ``upper_open`` and ``theta``, (N,) ``is_leaf`` and ``mass``, and the
+    (6, d, N) ``quantile`` coefficients lo, width, cap, a, a^2, b of
+    ``_quantile`` (``lower`` and ``width`` are its first two planes)."""
+
+    lower: np.ndarray
+    width: np.ndarray
+    upper_open: np.ndarray
+    theta: np.ndarray
+    is_leaf: np.ndarray
+    mass: np.ndarray
+    quantile: np.ndarray
+
 
 class DetNode(NamedTuple):
     """Read-only handle on node ``id`` of ``tree``, made on access: it holds
@@ -139,7 +186,7 @@ def marginal_density(theta, lo, hi, x):
     Every argument may be a float or an array (broadcast elementwise).
     """
     _check_support(lo, hi, x)
-    return _density(theta, lo, hi, x)
+    return _density(theta, lo, np.subtract(hi, lo), x)
 
 
 def marginal_cdf(theta, lo, hi, x):
@@ -160,7 +207,10 @@ def marginal_quantile(theta, lo, hi, y):
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError("quantile argument must lie in [0, 1]")
     _check_widths(lo, hi)
-    return _quantile(theta, lo, hi, y)
+    theta, lo, hi, y = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (theta, lo, hi, y)))
+    x = y.flatten()  # a 1-D copy: the kernel works in place, and not on 0-d arrays
+    _quantile(_quantile_coefficients(theta.ravel(), lo.ravel(), hi.ravel(), hi.ravel()), x)
+    return x.reshape(y.shape)[()]
 
 
 # Unchecked arithmetic of marginal_density and marginal_quantile, for callers
@@ -169,19 +219,37 @@ def marginal_quantile(theta, lo, hi, y):
 # convention, y in [0, 1) by the generator.
 
 
-def _density(theta, lo, hi, x):
-    t = (x - lo) / (hi - lo)
-    return (1.0 + theta * (2.0 * t - 1.0)) / (hi - lo)
+def _density(theta, lo, width, x):
+    t = (x - lo) / width
+    return (1.0 + theta * (2.0 * t - 1.0)) / width
 
 
-def _quantile(theta, lo, hi, y):
-    denom = (1.0 - theta) + np.sqrt(np.maximum((1.0 - theta) ** 2 + 4.0 * theta * y, 0.0))
-    # denom vanishes only at theta = 1, y = 0, where t = y = 0 is exact
-    uniform_like = (np.abs(theta) < THETA_TINY) | (denom <= 0.0)
-    t = np.where(uniform_like, y, 2.0 * y / np.where(uniform_like, 1.0, denom))
-    del denom, uniform_like  # release before the result is formed: samplers pass large arrays
-    t = np.clip(t, 0.0, 1.0)
-    return np.clip(lo + t * (hi - lo), lo, hi)
+def _quantile_coefficients(theta, lo, hi, cap) -> np.ndarray:
+    """The (6, ...) planes lo, width = hi - lo, cap, a = 1 - theta, a^2 and
+    b = 4 theta that ``_quantile`` reads. A uniform-like theta gets a = 1,
+    b = 0, for which the root formula returns t = 2y / 2 = y exactly."""
+    uniform = np.abs(theta) < THETA_TINY
+    a = np.where(uniform, 1.0, 1.0 - theta)
+    return np.stack([lo, hi - lo, cap, a, a * a, np.where(uniform, 0.0, 4.0 * theta)])
+
+
+def _quantile(coef, y) -> None:
+    """Map uniforms ``y`` in place to lo + t * width, with t the root of
+    (1 - theta) t + theta t^2 = y in the stable form 2y / (a + sqrt(a^2 + b y)),
+    clipped into [0, 1] and then into [lo, cap] against roundoff."""
+    lo, width, cap, a, a2, b = coef
+    denom = b * y
+    denom += a2
+    np.maximum(denom, 0.0, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += a
+    np.maximum(denom, _DENOM_FLOOR, out=denom)
+    y *= 2.0
+    y /= denom
+    np.clip(y, 0.0, 1.0, out=y)
+    y *= width
+    y += lo
+    np.clip(y, lo, cap, out=y)
 
 
 def det_density_many(tree: DetTree, points) -> np.ndarray:
@@ -214,8 +282,8 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
             stack.append((node + 1, np.compress(below, cols, axis=1), idx[below]))
         elif tree.count[node] > 0:
             values = np.full(idx.size, int(tree.count[node]) / tree.n)
-            lo, hi = tree.lower[node, :, None], tree.upper[node, :, None]
-            for factor in _density(tree.theta[node, :, None], lo, hi, cols):
+            lo = tree.lower[node, :, None]
+            for factor in _density(tree.theta[node, :, None], lo, tree.upper[node, :, None] - lo, cols):
                 values *= factor
             out[idx] = values
     return out

@@ -13,6 +13,14 @@ sample consumes its leaf draw first, then one uniform per free dimension in
 ascending dimension order. Fixed seed implies an identical output sequence.
 Concurrent sampling is safe when each strand owns its own stream (trees are
 immutable).
+
+Samples are made in blocks of ``_BLOCK_ROWS`` rows: each block draws its
+rows' uniforms from the stream, picks their leaves, gathers their quantile
+coefficients from the tree's derived tables and maps the uniforms in place
+into the output. The generator fills arrays in C order, so the blocks
+consume the stream in the same order as one whole-array draw and the output
+does not depend on the block size. A draw of ``count`` points holds the
+output plus O(block) temporaries.
 """
 
 from __future__ import annotations
@@ -23,6 +31,11 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 import numpy as np
 
 from .core import DetTree, _check_widths, _density, _quantile
+
+# Rows per sampling block: 4,096-16,384 measured best, small enough for the
+# block's temporaries to stay in cache and large enough to amortize the
+# per-block calls.
+_BLOCK_ROWS = 8192
 
 __all__ = [
     "Condition",
@@ -95,17 +108,22 @@ def categorical_pick(weights, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("u must lie in [0, 1)")
-    return _pick(np.asarray(weights, dtype=np.float64), u)
+    return _pick(*_cumulative(np.asarray(weights, dtype=np.float64)), u)
 
 
-def _pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # categorical_pick without the per-draw check of u, for generator output
+def _cumulative(weights: np.ndarray) -> tuple[np.ndarray, int]:
+    """Checked cumulative weights and the index of the last nonzero weight."""
     cum = np.cumsum(weights)
     if cum.size == 0 or cum[-1] <= 0.0 or np.any(weights < 0.0):
         raise ValueError("weights must be nonnegative with a positive sum")
+    return cum, np.flatnonzero(weights > 0.0)[-1]
+
+
+def _pick(cum: np.ndarray, last: int, u: np.ndarray) -> np.ndarray:
+    # categorical_pick without the per-draw check of u, for generator output
     idx = np.searchsorted(cum, u * cum[-1], side="right")
     # a subnormal total can make u * total round to the total: the last nonempty interval
-    return np.minimum(idx, np.flatnonzero(weights > 0.0)[-1])
+    return np.minimum(idx, last)
 
 
 def sample_unconditional(tree: DetTree, seed: int, count: int) -> np.ndarray:
@@ -133,33 +151,34 @@ def find_conditioned_leaves(
     diagnostics hook called with the id of each such node in ascending order,
     which is the depth-first preorder; the empty condition visits every node.
     """
-    lower, upper, split_dim = tree.lower, tree.upper, tree.split_dim
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
             raise ValueError(f"conditioned dimension {dim} out of range for a {tree.dims}-D tree")
-        if value < lower[0, dim] or value > upper[0, dim]:
+        if value < tree.lower[0, dim] or value > tree.upper[0, dim]:
             raise ValueError(f"conditioning value {value} for dimension {dim} lies outside the root cuboid")
 
+    tables = tree._tables
     if cond.entries:
         keep = None
         for dim, value in cond.entries:
-            lo, hi = lower[:, dim], upper[:, dim]
-            inside = (lo <= value) & ((value < hi) | (hi == hi[0]))
+            inside = (tables.lower[dim] <= value) & (value < tables.upper_open[dim])
             keep = inside if keep is None else keep & inside
         visited = np.flatnonzero(keep)
-        leaves = visited[split_dim[visited] < 0]
+        leaves = visited[tables.is_leaf[visited]]
     else:
-        visited = np.arange(split_dim.size)
-        leaves = np.flatnonzero(split_dim < 0)
+        visited = np.arange(tables.mass.size)
+        leaves = np.flatnonzero(tables.is_leaf)
     if on_visit is not None:
         for node in visited.tolist():
             on_visit(node)
 
-    weights = tree.count[leaves] / tree.n
+    weights = tables.mass.take(leaves)
     for dim, value in cond.entries:
-        lo, hi = lower[leaves, dim], upper[leaves, dim]
-        _check_widths(lo, hi)  # the mask already holds each value inside [lo, hi]
-        weights *= _density(tree.theta[leaves, dim], lo, hi, value)
+        lo, width = tables.lower[dim].take(leaves), tables.width[dim].take(leaves)
+        # width = hi - lo is positive exactly when lo < hi (IEEE subtraction
+        # is exact near zero); the mask already holds each value inside [lo, hi]
+        _check_widths(0.0, width)
+        weights *= _density(tables.theta[dim].take(leaves), lo, width, value)
     return WeightedLeafSet(leaves, weights, float(weights.sum()))
 
 
@@ -181,22 +200,29 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     rng = np.random.default_rng(seed)
     if count == 0:
         return np.empty((0, d))
-    # One row per sample: leaf draw first, then one draw per free dimension
-    # in ascending order (C-order fill matches sequential consumption).
-    u = rng.random((count, 1 + free.size))
-    idx = _pick(leaf_set.weights, u[:, 0])
-    # contiguous (count, free) operands keep the quantile's inner loops long
-    coord_u = np.ascontiguousarray(u[:, 1:])
-    del u
-    # (leaves, free) tables, checked once here instead of per sample; the
+    cum, last = _cumulative(leaf_set.weights)
+    # ids of the (leaf, free dimension) pairs in the flattened coefficient
+    # planes, whose widths are checked once here instead of per sample; the
     # generator keeps every uniform in [0, 1)
-    rows = np.ix_(leaf_set.leaves, free)
-    theta, lo, hi = tree.theta[rows], tree.lower[rows], tree.upper[rows]
-    _check_widths(lo, hi)
-    coords = _quantile(theta.take(idx, axis=0), lo.take(idx, axis=0), hi.take(idx, axis=0), coord_u)
-    # allocated after the quantile's temporaries are gone, to lower the peak
+    coefficients = tree._tables.quantile
+    planes = coefficients.reshape(coefficients.shape[0], -1)
+    pairs = free * coefficients.shape[2] + leaf_set.leaves[:, None]
+    _check_widths(0.0, planes[1].take(pairs))
     out = np.empty((count, d))
-    out[:, free] = coords
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        # one row per sample: leaf draw first, then one draw per free
+        # dimension in ascending order (C-order fill matches sequential consumption)
+        u = rng.random((stop - start, 1 + free.size))
+        coef = planes.take(pairs.take(_pick(cum, last, u[:, 0]), axis=0), axis=1)
+        # unconditional blocks map in place in the output, conditional ones
+        # in a contiguous buffer that is then scattered to the free columns
+        y = np.empty((stop - start, free.size)) if cond.entries else out[start:stop]
+        np.copyto(y, u[:, 1:])
+        _quantile(coef, y)
+        if cond.entries:
+            out[start:stop, free] = y
+        del u, coef, y  # free this block's temporaries before the next block's are made
     for dim, value in cond.entries:
         out[:, dim] = value
     return out

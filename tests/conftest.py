@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dettree import (
     BuildConfig,
@@ -19,7 +20,12 @@ from dettree import (
     sample_gaussian,
 )
 from dettree.build import fit_pvalue
+from dettree.core import THETA_TINY
 from dettree.io import FORMAT_VERSION
+
+# Run time varies by up to 2x on shared CI machines, so examples get no deadline.
+settings.register_profile("dettree", deadline=None)
+settings.load_profile("dettree")
 
 REF_COV = np.array([[0.35, 0.25, 0.5], [0.25, 0.4, 0.6], [0.5, 0.6, 1.0]])
 
@@ -144,6 +150,34 @@ def assert_search_matches_oracles(tree: DetTree, cond: Condition) -> None:
         assert found.weights.tobytes() == weights.tobytes()
     assert visited == dfs_visited
     assert found.total == found.weights.sum()
+
+
+def reference_sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) -> np.ndarray:
+    """Whole-array reference sampler: every uniform drawn at once, the leaves
+    picked against the exhaustive oracle's weights, the (leaves, free)
+    theta/lo/hi tables gathered per sample, the quantile written out with
+    its uniform branch, and each draw capped below an open upper face. The
+    library's block-wise sampler must equal it byte for byte."""
+    d = tree.dims
+    free = np.array(cond.free_dims(d), dtype=np.intp)
+    leaves, weights = exhaustive_conditioned_leaves(tree, cond)
+    if count == 0:
+        return np.empty((0, d))
+    u = np.random.default_rng(seed).random((count, 1 + free.size))
+    cum = np.cumsum(weights)
+    idx = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1], side="right"), np.flatnonzero(weights > 0.0)[-1])
+    rows = np.ix_(leaves[idx], free)
+    theta, lo, hi = tree.theta[rows], tree.lower[rows], tree.upper[rows]
+    y = u[:, 1:]
+    denom = (1.0 - theta) + np.sqrt(np.maximum((1.0 - theta) ** 2 + 4.0 * theta * y, 0.0))
+    uniform_like = (np.abs(theta) < THETA_TINY) | (denom <= 0.0)
+    t = np.clip(np.where(uniform_like, y, 2.0 * y / np.where(uniform_like, 1.0, denom)), 0.0, 1.0)
+    cap = np.where(hi == tree.upper[0, free], hi, np.nextafter(hi, lo))
+    out = np.empty((count, d))
+    out[:, free] = np.clip(lo + t * (hi - lo), lo, cap)
+    for dim, value in cond.entries:
+        out[:, dim] = value
+    return out
 
 
 def leafwise_quadrature_total(tree: DetTree) -> float:

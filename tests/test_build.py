@@ -285,7 +285,7 @@ def build_cases(draw):
 
 
 class TestBuildMatchesReference:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(case=build_cases())
     def test_same_tree_as_reference_builder(self, case):
         ens, config = case

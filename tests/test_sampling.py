@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,16 @@ from dettree import (
     DetTree,
     MarginalOrder,
     categorical_pick,
+    det_density_many,
     find_conditioned_leaves,
     gaussian_conditional,
     ks_test,
     sample_conditional,
     sample_moments,
     sample_unconditional,
+    validate_tree,
 )
+from dettree.sampling import _BLOCK_ROWS
 
 from conftest import (
     assert_search_matches_oracles,
@@ -23,6 +28,7 @@ from conftest import (
     leaf_ids,
     leaf_tree,
     pruned_search_conditioned_leaves,
+    reference_sample_conditional,
 )
 
 LIN = MarginalOrder.LINEAR
@@ -191,15 +197,16 @@ class TestFindConditionedLeaves:
 
 
 @st.composite
-def search_cases(draw):
+def search_cases(draw, keep_free: bool = False):
     """(tree, condition) pairs: small generated trees in 1-3 dimensions,
-    min_leaf_count=2 among them, conditioned on any subset of dimensions at
-    split midpoints, root faces or interior points."""
+    min_leaf_count=2 among them, conditioned on any subset of dimensions (a
+    proper subset with ``keep_free``) at split midpoints, root faces or
+    interior points."""
     d = draw(st.integers(1, 3))
     tree = build_random_tree(draw(st.integers(0, 2**32 - 1)), n=draw(st.integers(1, 500)), d=d,
                              min_leaf_count=draw(st.sampled_from([2, 10])), alpha=draw(st.sampled_from([0.01, 0.5])))
     entries = []
-    for dim in draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d)):
+    for dim in draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d - 1 if keep_free else d)):
         lo, hi = float(tree.lower[0, dim]), float(tree.upper[0, dim])
         splits = np.flatnonzero(tree.split_dim == dim)
         kind = draw(st.sampled_from(["midpoint", "root face", "interior"]))
@@ -215,7 +222,7 @@ def search_cases(draw):
 
 
 class TestSearchProperty:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=search_cases())
     def test_equals_both_oracles(self, case):
         assert_search_matches_oracles(*case)
@@ -283,13 +290,37 @@ class TestSampleConditional:
             sample_conditional(tree, Condition([(0, 0.9)]), 1, 10)
 
     def test_samples_stay_in_their_leaves(self, gaussian_tree_small):
+        # under the containment convention each sample lies in exactly one found leaf
         tree = gaussian_tree_small
         cond = Condition([(0, 0.3)])
         pts = sample_conditional(tree, cond, 13, 2000)
-        found = find_conditioned_leaves(tree, cond)
-        boxes = [(tree.lower[leaf], tree.upper[leaf]) for leaf in found.leaves]
-        for x in pts[:200]:
-            assert any(np.all(x >= lo) and np.all(x <= hi) for lo, hi in boxes)
+        leaves = find_conditioned_leaves(tree, cond).leaves
+        lo, hi = tree.lower[leaves][None], tree.upper[leaves][None]
+        x = pts[:, None, :]
+        inside = np.all((x >= lo) & ((x < hi) | ((hi == tree.upper[0]) & (x <= hi))), axis=2)
+        assert np.all(inside.sum(axis=1) == 1)
+
+    def test_draw_stays_below_an_open_upper_face(self, monkeypatch):
+        # root [0.25, 0.75] x [0, 1] split at x1 = 0.5; the upper leaf is empty. The
+        # largest uniform maps onto 0.25 + top * 0.25, which rounds to the face 0.5
+        # that belongs to the empty leaf.
+        tree = DetTree(lower=[[0.25, 0.0], [0.25, 0.0], [0.5, 0.0]], upper=[[0.75, 1.0], [0.5, 1.0], [0.75, 1.0]],
+                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 10, 0], theta=np.zeros((3, 2)),
+                       n=10, order=LIN)
+        validate_tree(tree)
+        top = np.nextafter(1.0, 0.0)
+        assert 0.25 + top * 0.25 == 0.5
+
+        class LargestUniform:
+            def random(self, size):
+                return np.full(size, top)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: LargestUniform())
+        for pts in (sample_unconditional(tree, 0, 3), sample_conditional(tree, Condition([(1, 0.5)]), 0, 3)):
+            assert np.all(pts[:, 0] < 0.5)
+            assert np.all(det_density_many(tree, pts) > 0.0)
+        # a face on the root's upper boundary is closed, so a draw may reach it
+        assert np.all(sample_unconditional(tree, 0, 3)[:, 1] == top)
 
     def test_gaussian_conditional_mean(self, ref_gaussian):
         # desk-scale version of the large reproduction in the acceptance suite
@@ -307,6 +338,49 @@ class TestSampleConditional:
         a = sample_conditional(gaussian_tree_small, cond, 21, 1000)
         b = sample_conditional(gaussian_tree_small, cond, 21, 1000)
         assert np.array_equal(a, b)
+
+
+class TestBlockwiseSampler:
+    @settings(max_examples=150)
+    @given(case=search_cases(keep_free=True), seed=st.integers(0, 2**32 - 1),
+           count=st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]))
+    def test_equals_whole_array_reference(self, case, seed, count):
+        tree, cond = case
+        assert_search_matches_oracles(tree, cond)
+        if find_conditioned_leaves(tree, cond).total <= 0.0:
+            with pytest.raises(ValueError, match="zero estimated density"):
+                sample_conditional(tree, cond, seed, count)
+            return
+        expected = reference_sample_conditional(tree, cond, seed, count).tobytes()
+        assert sample_conditional(tree, cond, seed, count).tobytes() == expected
+        if not cond.entries:
+            assert sample_unconditional(tree, seed, count).tobytes() == expected
+
+    def test_peak_memory_is_the_output_plus_one_block(self, gaussian_tree_small):
+        tree = gaussian_tree_small
+        sample_unconditional(tree, 0, 10)  # builds the tree's derived tables
+        tracemalloc.start()
+        try:
+            pts = sample_unconditional(tree, 1, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block's temporaries: at most ten float64 values per uniform it draws
+        block_allowance = 10 * _BLOCK_ROWS * (1 + tree.dims) * 8
+        assert peak <= 1.5 * pts.nbytes + block_allowance
+
+
+class TestConditionalSampleProperties:
+    @settings(max_examples=100)
+    @given(case=search_cases(keep_free=True), seed=st.integers(0, 2**32 - 1))
+    def test_conditioned_coordinates_exact_and_density_positive(self, case, seed):
+        tree, cond = case
+        if find_conditioned_leaves(tree, cond).total <= 0.0:
+            return
+        pts = sample_conditional(tree, cond, seed, 500)
+        for dim, value in cond.entries:
+            assert pts[:, dim].tobytes() == np.full(500, value).tobytes()
+        assert np.all(det_density_many(tree, pts) > 0.0)
 
 
 class TestCondition:
