@@ -26,12 +26,23 @@ Containment convention: leaf intervals are closed below and open above,
 This makes the leaves an exact partition of the root box, so every point
 (including split boundaries) belongs to exactly one leaf.
 
-Derived tables. The search and the sampler read tables that a tree derives
-from its node arrays on first use (``DetTree._tables``), one contiguous row
-per dimension: the node bounds, with each face on the root's upper boundary
-stored as +inf so a box holds v exactly when lower <= v < upper_open; theta;
-the quantile coefficients; and the leaf flag and leaf mass count/n. They
-assume that the read-only node arrays never change.
+Derived tables. The search, the sampler and the density read tables that a
+tree derives from its node arrays on first use (``DetTree._tables``), one
+contiguous row per dimension: the node lower bounds and widths; the upper
+bounds, with each face on the root's upper boundary stored as +inf so a box
+holds v exactly when lower <= v < upper_open; theta; and the leaf flag and
+leaf mass count/n. The sampler also reads the quantile coefficients
+(``DetTree._quantile_planes``), built on the first draw, so a search does
+not pay for them. The density's router reads its own set
+(``DetTree._routing``), built only when a density is first asked for. It
+addresses node i at position 2i: entries 2i and 2i + 1 hold the split
+dimension and midpoint of node i (0 at a leaf) and 2 x its lower and upper
+child (2i twice at a leaf, so a leaf routes to itself); with the tree's
+height. All three assume that the read-only node arrays never change.
+
+Blocks. Density and sampling work through their rows in blocks of
+``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
+whatever its size; the block size does not change a single output bit.
 """
 
 from __future__ import annotations
@@ -60,6 +71,11 @@ THETA_TINY = 1e-10
 # The quantile's denominator vanishes only at theta = 1, y = 0, where this
 # floor makes t = 0 / floor = y exact without a division by zero.
 _DENOM_FLOOR = np.nextafter(0.0, 1.0)
+
+# Rows per block of the block-wise density and sampling loops: 4,096-16,384
+# measured best, small enough for a block's temporaries to stay in cache and
+# large enough to amortize the per-block calls.
+_BLOCK_ROWS = 8192
 
 _NODE_ARRAYS = (
     ("lower", np.float64),
@@ -129,29 +145,56 @@ class DetTree:
     def _tables(self) -> "_NodeTables":
         """The derived tables of the module docstring, built on first use."""
         lower, upper, theta = (np.ascontiguousarray(x.T) for x in (self.lower, self.upper, self.theta))
-        closed = upper == upper[:, :1]  # faces on the root's upper boundary
-        # a draw is capped below an open upper face, which belongs to the neighbour
-        cap = np.where(closed, upper, np.nextafter(upper, lower))
-        quantile = _quantile_coefficients(theta, lower, upper, cap)
         tables = _NodeTables(
-            lower=quantile[0],
-            width=quantile[1],
-            upper_open=np.where(closed, np.inf, upper),
+            lower=lower,
+            width=upper - lower,
+            upper_open=np.where(upper == upper[:, :1], np.inf, upper),  # faces on the root's upper boundary
             theta=theta,
             is_leaf=self.split_dim < 0,
             mass=self.count / self.n,
-            quantile=quantile,
         )
         for table in tables:
             table.setflags(write=False)
         return tables
 
+    @cached_property
+    def _quantile_planes(self) -> np.ndarray:
+        """The (6, d, N) planes lo, width, cap, a, a^2 and b that the sampler
+        passes to ``_quantile``, built on the first draw."""
+        lower, theta, upper = self._tables.lower, self._tables.theta, np.ascontiguousarray(self.upper.T)
+        # a draw is capped below an open upper face, which belongs to the neighbour
+        cap = np.where(upper == upper[:, :1], upper, np.nextafter(upper, lower))
+        quantile = _quantile_coefficients(theta, lower, upper, cap)
+        quantile.setflags(write=False)
+        return quantile
+
+    @cached_property
+    def _routing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The router's tables of the module docstring, built on first use:
+        (2N,) ``dim``, ``mid`` and ``child`` at node positions 2i, and the
+        tree's height (splits on its longest root-to-leaf path)."""
+        nodes = np.arange(self.split_dim.size)
+        splits = nodes[self.split_dim >= 0]
+        dim = np.maximum(self.split_dim, 0)
+        mid = np.zeros(nodes.size)
+        # only at splits: a leaf's box may span a range whose bound sum overflows
+        mid[splits] = (self.lower[splits, dim[splits]] + self.upper[splits, dim[splits]]) / 2.0
+        child = np.repeat(2 * nodes, 2)
+        child[2 * splits] = 2 * splits + 2
+        child[2 * splits + 1] = 2 * self.upper_child[splits]
+        height, level = 0, nodes[:1]
+        while (level := level[self.split_dim[level] >= 0]).size:
+            height += 1
+            level = np.concatenate([level + 1, self.upper_child[level]])
+        tables = (np.repeat(dim, 2), np.repeat(mid, 2), child)
+        for table in tables:
+            table.setflags(write=False)
+        return (*tables, height)
+
 
 class _NodeTables(NamedTuple):
     """Per-dimension node columns: (d, N) ``lower``, ``width``,
-    ``upper_open`` and ``theta``, (N,) ``is_leaf`` and ``mass``, and the
-    (6, d, N) ``quantile`` coefficients lo, width, cap, a, a^2, b of
-    ``_quantile`` (``lower`` and ``width`` are its first two planes)."""
+    ``upper_open`` and ``theta``, and (N,) ``is_leaf`` and ``mass``."""
 
     lower: np.ndarray
     width: np.ndarray
@@ -159,7 +202,6 @@ class _NodeTables(NamedTuple):
     theta: np.ndarray
     is_leaf: np.ndarray
     mass: np.ndarray
-    quantile: np.ndarray
 
 
 class DetNode(NamedTuple):
@@ -254,38 +296,54 @@ def _quantile(coef, y) -> None:
 
 def det_density_many(tree: DetTree, points) -> np.ndarray:
     """Estimated density at each row of an (m, d) batch: the containing
-    leaf's (count/n) times its marginal densities, 0 outside the root box.
+    leaf's (count/n) times its marginal densities, 0 outside the root box and
+    at NaN. Raises ValueError where a leaf's density overflows float64.
 
-    One descent over node ids routes every point to its leaf under the
-    containment convention. Each node holds its points as one C-contiguous
-    (d, m) block of columns, which a split partitions stably into the child
-    blocks, so every leaf factor reads contiguous memory.
+    Rows go in blocks of ``_BLOCK_ROWS``. A block keeps its rows inside the
+    root box and routes them all one tree level per array step for the
+    tree's height, each row at node position p = 2 x node:
+    ``p = child[p + (x[dim[p]] >= mid[p])]``. A leaf routes to itself, so
+    each row stops at the leaf that holds it under the containment
+    convention. The leaf factors, gathered from the tree's tables, are then
+    multiplied into the output slice in dimension order. A call holds its
+    output plus O(block) temporaries (and a float64 copy of points of
+    another dtype).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != tree.dims:
         raise ValueError(f"points must have shape (m, {tree.dims})")
     _check_widths(tree.lower, tree.upper)  # once per call; the routing keeps each point inside its leaf
-    cols = np.array(pts.T, order="C")
-    inside = np.all(cols >= tree.lower[0, :, None], axis=0) & np.all(cols <= tree.upper[0, :, None], axis=0)
-    if not inside.all():  # copy only to drop points outside the root box
-        cols = np.compress(inside, cols, axis=1)
-    stack = [(0, cols, np.flatnonzero(inside))]
     out = np.zeros(pts.shape[0])
-    while stack:
-        node, cols, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        dim = int(tree.split_dim[node])
-        if dim >= 0:
-            below = cols[dim] < (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
-            stack.append((int(tree.upper_child[node]), np.compress(~below, cols, axis=1), idx[~below]))
-            stack.append((node + 1, np.compress(below, cols, axis=1), idx[below]))
-        elif tree.count[node] > 0:
-            values = np.full(idx.size, int(tree.count[node]) / tree.n)
-            lo = tree.lower[node, :, None]
-            for factor in _density(tree.theta[node, :, None], lo, tree.upper[node, :, None] - lo, cols):
-                values *= factor
-            out[idx] = values
+    (dim, mid, child, height), tables = tree._routing, tree._tables
+    for start in range(0, out.size, _BLOCK_ROWS):
+        block = pts[start:start + _BLOCK_ROWS]
+        values = out[start:start + _BLOCK_ROWS]
+        inside = np.ones(block.shape[0], dtype=bool)
+        for k in range(tree.dims):  # per column: a reduction along a short row is slow
+            inside &= block[:, k] >= tree.lower[0, k]
+            inside &= block[:, k] <= tree.upper[0, k]
+        partial = not inside.all()
+        if partial:  # route only the rows inside the root box
+            block = np.compress(inside, block, axis=0)
+            values = np.empty(block.shape[0])
+        # row r's coordinate k sits at r * d + k of the flat C-ordered block
+        flat = np.ascontiguousarray(block).reshape(-1)
+        row_start = np.arange(0, flat.size, tree.dims)
+        position = np.zeros(block.shape[0], dtype=np.intp)
+        for _ in range(height):
+            at = dim.take(position)
+            at += row_start
+            position += flat.take(at) >= mid.take(position)
+            position = child.take(position)
+        node = position >> 1
+        tables.mass.take(node, out=values)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            for k in range(tree.dims):
+                values *= _density(tables.theta[k].take(node), tables.lower[k].take(node),
+                                   tables.width[k].take(node), block[:, k])
+        _check_overflow(values, tables.mass, node)
+        if partial:
+            out[start:start + _BLOCK_ROWS][inside] = values
     return out
 
 
@@ -374,6 +432,18 @@ def validate_tree(tree: DetTree) -> None:
         raise ValueError("children do not exactly partition their parent box")
     if not np.array_equal(cut, (lower[splits, k] + upper[splits, k]) / 2.0):
         raise ValueError("a split is not at the midpoint of its box")
+
+
+def _check_overflow(values, mass, leaves) -> None:
+    """Check the products of leaf mass and marginal densities, evaluated
+    with float overflow silenced, for the leaves ``leaves``: 0 stands at an
+    empty leaf however narrow its box (0 times an overflowed factor is NaN),
+    and a nonempty leaf whose density overflowed raises ValueError."""
+    if np.isfinite(values).all():
+        return
+    values[mass.take(leaves) == 0.0] = 0.0
+    if not np.isfinite(values).all():
+        raise ValueError("the density overflows float64: a leaf box is too narrow for its mass")
 
 
 def _check_widths(lo, hi) -> None:

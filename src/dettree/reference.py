@@ -97,8 +97,9 @@ def sample_gaussian(spec: GaussianSpec, seed: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, spec.dims))
-    return spec.mu + z @ spec.chol.T
+    x = rng.standard_normal((count, spec.dims)) @ spec.chol.T
+    x += spec.mu  # in place: no third (count, d) array; addition commutes, so the bits match mu + z L'
+    return x
 
 
 def gaussian_conditional(spec: GaussianSpec, cond: Condition) -> GaussianSpec:

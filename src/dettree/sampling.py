@@ -25,17 +25,13 @@ output plus O(block) temporaries.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DetTree, _check_widths, _density, _quantile
-
-# Rows per sampling block: 4,096-16,384 measured best, small enough for the
-# block's temporaries to stay in cache and large enough to amortize the
-# per-block calls.
-_BLOCK_ROWS = 8192
+from .core import _BLOCK_ROWS, DetTree, _check_overflow, _check_widths, _density, _quantile
 
 __all__ = [
     "Condition",
@@ -150,6 +146,7 @@ def find_conditioned_leaves(
     whose box excludes a value; their leaves are the result. ``on_visit`` is a
     diagnostics hook called with the id of each such node in ascending order,
     which is the depth-first preorder; the empty condition visits every node.
+    Raises ValueError where a nonempty leaf's weight overflows float64.
     """
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
@@ -172,14 +169,33 @@ def find_conditioned_leaves(
         for node in visited.tolist():
             on_visit(node)
 
+    # A factor is at most 2 / width, so while every width exceeds this floor
+    # no weight can overflow float64. Silencing float overflow costs a fresh
+    # process tens of microseconds on first use, so only narrower leaves pay.
+    floor = 4.0 * sys.float_info.max ** (-1.0 / max(len(cond), 1))
+    weights = _conditioned_weights(tables, cond, leaves, floor)
+    if weights is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            weights = _conditioned_weights(tables, cond, leaves, 0.0)
+        if weights is None:
+            raise ValueError("need lo < hi")
+        _check_overflow(weights, tables.mass, leaves)
+    return WeightedLeafSet(leaves, weights, float(weights.sum()))
+
+
+def _conditioned_weights(tables, cond: Condition, leaves: np.ndarray, floor: float) -> Optional[np.ndarray]:
+    """Leaf mass times the marginal densities at the conditioning values, or
+    None if some leaf is no wider than ``floor`` >= 0 along a conditioned
+    dimension."""
     weights = tables.mass.take(leaves)
     for dim, value in cond.entries:
         lo, width = tables.lower[dim].take(leaves), tables.width[dim].take(leaves)
         # width = hi - lo is positive exactly when lo < hi (IEEE subtraction
         # is exact near zero); the mask already holds each value inside [lo, hi]
-        _check_widths(0.0, width)
+        if not np.all(floor < width):
+            return None
         weights *= _density(tables.theta[dim].take(leaves), lo, width, value)
-    return WeightedLeafSet(leaves, weights, float(weights.sum()))
+    return weights
 
 
 def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) -> np.ndarray:
@@ -204,7 +220,7 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     # ids of the (leaf, free dimension) pairs in the flattened coefficient
     # planes, whose widths are checked once here instead of per sample; the
     # generator keeps every uniform in [0, 1)
-    coefficients = tree._tables.quantile
+    coefficients = tree._quantile_planes
     planes = coefficients.reshape(coefficients.shape[0], -1)
     pairs = free * coefficients.shape[2] + leaf_set.leaves[:, None]
     _check_widths(0.0, planes[1].take(pairs))

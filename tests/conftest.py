@@ -180,6 +180,35 @@ def reference_sample_conditional(tree: DetTree, cond: Condition, seed: int, coun
     return out
 
 
+def reference_det_density_many(tree: DetTree, points) -> np.ndarray:
+    """Reference density router: one stack descent over node ids, in which
+    each node holds its points as a (d, m) block of columns that a split
+    partitions stably into the child blocks, then each leaf's count/n times
+    its marginal densities. The library's block-wise router must equal it
+    byte for byte."""
+    pts = np.asarray(points, dtype=np.float64)
+    cols = np.array(pts.T, order="C")
+    inside = np.all(cols >= tree.lower[0, :, None], axis=0) & np.all(cols <= tree.upper[0, :, None], axis=0)
+    stack = [(0, np.compress(inside, cols, axis=1), np.flatnonzero(inside))]
+    out = np.zeros(pts.shape[0])
+    while stack:
+        node, cols, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        dim = int(tree.split_dim[node])
+        if dim >= 0:
+            below = cols[dim] < (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+            stack.append((int(tree.upper_child[node]), np.compress(~below, cols, axis=1), idx[~below]))
+            stack.append((node + 1, np.compress(below, cols, axis=1), idx[below]))
+        elif tree.count[node] > 0:
+            values = np.full(idx.size, int(tree.count[node]) / tree.n)
+            lo, hi = tree.lower[node, :, None], tree.upper[node, :, None]
+            for factor in (1.0 + tree.theta[node, :, None] * (2.0 * ((cols - lo) / (hi - lo)) - 1.0)) / (hi - lo):
+                values *= factor
+            out[idx] = values
+    return out
+
+
 def leafwise_quadrature_total(tree: DetTree) -> float:
     """Independent mass oracle: 2-point tensor Gauss-Legendre per leaf (exact
     for the per-dimension linear densities), summed through det_density_many."""

@@ -188,6 +188,32 @@ class TestDensity:
                    "--fix", "2=0", "--out", str(tmp_path / "g.csv")) == 1
 
 
+class TestOverflowingDensity:
+    """Data at subnormal scale builds a valid tree whose leaf densities
+    overflow float64: density and conditional sampling are data errors."""
+
+    @pytest.fixture()
+    def subnormal_tree(self, tmp_path):
+        data = tmp_path / "tiny.csv"
+        write_csv(data, np.random.default_rng(0).standard_normal((2000, 2)) * 5e-322, ["x1", "x2"])
+        path = tmp_path / "tiny.json"
+        assert run("build", "--in", str(data), "--out", str(path)) == 0
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ["density", "--grid", "1:-1e-321:1e-321:5,2:-1e-321:1e-321:5"],
+        ["sample", "--n", "10", "--seed", "1", "--cond", "1=0"],
+    ])
+    def test_exits_2_without_output(self, tmp_path, capsys, subnormal_tree, command):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*command, "--tree", str(subnormal_tree), "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "overflows float64" in err and "Traceback" not in err and "Warning" not in err
+
+
 class TestValidate:
     def test_gaussian_validation_passes(self, tmp_path):
         data = tmp_path / "big.csv"

@@ -1,22 +1,32 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dettree import (
     BuildConfig,
+    Condition,
     DetTree,
     Ensemble,
     MarginalOrder,
     build_tree,
     det_density_many,
+    find_conditioned_leaves,
     leaf_mass,
     marginal_cdf,
     marginal_density,
     marginal_quantile,
+    sample_conditional,
+    sample_unconditional,
     validate_tree,
 )
+from dettree.build import MAX_DEPTH_LIMIT
+from dettree.core import _BLOCK_ROWS
 
 from conftest import (
     build_random_tree,
@@ -26,6 +36,7 @@ from conftest import (
     leaf_ids,
     leaf_tree,
     leafwise_quadrature_total,
+    reference_det_density_many,
 )
 
 LIN = MarginalOrder.LINEAR
@@ -247,6 +258,165 @@ class TestDetDensity:
             det_density_many(gaussian_tree_small, [[0.0, 0.0]])
         with pytest.raises(ValueError):
             det_density_many(gaussian_tree_small, np.zeros(3))
+
+
+@st.composite
+def density_cases(draw):
+    """(tree, points) pairs: generated trees in 1-4 dimensions, and a count
+    around the block size of points, each coordinate inside the root, at a
+    split midpoint, on the root's lower or upper face, just outside the root
+    or NaN, as a C-ordered, F-ordered or integer array."""
+    d = draw(st.integers(1, 4))
+    tree = build_random_tree(draw(st.integers(0, 2**32 - 1)), n=draw(st.integers(1, 500)), d=d,
+                             min_leaf_count=draw(st.sampled_from([2, 10])), alpha=draw(st.sampled_from([0.01, 0.5])))
+    count = draw(st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = tree.lower[0], tree.upper[0]
+    points = rng.uniform(lo, hi, size=(count, d))
+    kind = rng.integers(0, 10, size=(count, d))  # 0-4: inside, then one kind each
+    splits = np.flatnonzero(tree.split_dim >= 0)
+    for k in range(d):
+        column = points[:, k]
+        on_k = splits[tree.split_dim[splits] == k]
+        if on_k.size:
+            mids = (tree.lower[on_k, k] + tree.upper[on_k, k]) / 2.0
+            column[kind[:, k] == 5] = rng.choice(mids, np.count_nonzero(kind[:, k] == 5))
+        column[kind[:, k] == 6] = lo[k]
+        column[kind[:, k] == 7] = hi[k]
+        outside = kind[:, k] == 8
+        column[outside] = np.where(rng.random(outside.sum()) < 0.5, np.nextafter(lo[k], -np.inf),
+                                   np.nextafter(hi[k], np.inf))
+        column[kind[:, k] == 9] = np.nan
+    layout = draw(st.sampled_from(["C", "F", "integer"]))
+    if layout == "F":
+        points = np.asfortranarray(points)
+    elif layout == "integer":
+        points = np.rint(np.nan_to_num(points)).astype(np.int64)
+    return tree, points
+
+
+def spine_tree(depth: int) -> DetTree:
+    """A 2-D tree ``depth`` splits deep on the unit square: split k halves
+    dimension k % 2 of its box into node k + 1 below and leaf 2 depth - k
+    above, and node ``depth``, the deepest leaf, holds the origin. Every leaf
+    holds one sample and a nonzero theta."""
+    nodes = 2 * depth + 1
+    lower, upper = np.zeros((nodes, 2)), np.ones((nodes, 2))
+    split_dim, upper_child = np.full(nodes, -1), np.full(nodes, -1)
+    for k in range(depth):
+        dim, above = k % 2, 2 * depth - k
+        mid = (lower[k, dim] + upper[k, dim]) / 2.0
+        split_dim[k], upper_child[k] = dim, above
+        lower[k + 1], upper[k + 1] = lower[k], upper[k]
+        lower[above], upper[above] = lower[k], upper[k]
+        upper[k + 1, dim] = lower[above, dim] = mid
+    leaf = split_dim < 0
+    theta = np.where(leaf[:, None], np.random.default_rng(depth).uniform(-1.0, 1.0, size=(nodes, 2)), 0.0)
+    return DetTree(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=leaf.astype(int),
+                   theta=theta, n=depth + 1, order=LIN)
+
+
+def subnormal_tree():
+    """A tree of 2,000 normal draws scaled to about 5e-322: valid, but its
+    leaves are so narrow that their densities overflow float64."""
+    data = np.random.default_rng(0).standard_normal((2000, 2)) * 5e-322
+    tree = build_tree(Ensemble(data), BuildConfig())
+    validate_tree(tree)
+    return tree, data
+
+
+class TestBlockwiseDensity:
+    @settings(max_examples=100)
+    @given(case=density_cases())
+    def test_equals_reference_router(self, case):
+        tree, points = case
+        assert det_density_many(tree, points).tobytes() == reference_det_density_many(tree, points).tobytes()
+
+    def test_max_depth_tree(self):
+        tree = spine_tree(MAX_DEPTH_LIMIT)
+        validate_tree(tree)
+        rng = np.random.default_rng(7)
+        splits = np.arange(MAX_DEPTH_LIMIT)
+        at_mid = rng.uniform(tree.lower[splits], tree.upper[splits])
+        at_mid[splits, splits % 2] = (tree.lower[splits, splits % 2] + tree.upper[splits, splits % 2]) / 2.0
+        deepest = rng.uniform(tree.lower[MAX_DEPTH_LIMIT], tree.upper[MAX_DEPTH_LIMIT], size=(100, 2))
+        points = np.vstack([rng.uniform(0.0, 1.0, size=(1000, 2)), at_mid, deepest, tree.lower, tree.upper])
+        values = det_density_many(tree, points)
+        assert values.tobytes() == reference_det_density_many(tree, points).tobytes()
+        assert np.all(values > 0.0)
+
+    def test_range_near_float_max(self):
+        # the upper leaf's bound sum overflows, so no midpoint may be taken there
+        big = np.finfo(np.float64).max
+        one_leaf = leaf_tree([0.6 * big, -1.0], [0.95 * big, 1.0], 3, 3, [0.5, -0.25])
+        split = DetTree(lower=[[0.0], [0.0], [0.45 * big]], upper=[[0.9 * big], [0.45 * big], [0.9 * big]],
+                        split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 1, 2],
+                        theta=[[0.0], [0.5], [-0.5]], n=3, order=LIN)
+        for tree in (one_leaf, split):
+            validate_tree(tree)
+            points = np.vstack([tree.lower, tree.upper, tree.lower / 2.0 + tree.upper / 2.0])
+            points = np.vstack([points, np.full((1, tree.dims), np.nan), np.full((1, tree.dims), big)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = det_density_many(tree, points)
+                assert values.tobytes() == reference_det_density_many(tree, points).tobytes()
+
+    def test_peak_memory_is_the_output_plus_one_block(self, gaussian_tree_small):
+        tree = gaussian_tree_small
+        points = sample_unconditional(tree, 1, 200_000)
+        points[::1000] = np.nan  # some blocks route only part of their rows
+        det_density_many(tree, points[:10])  # builds the tree's derived tables
+        tracemalloc.start()
+        try:
+            values = det_density_many(tree, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block's temporaries: at most ten float64 values per coordinate it routes
+        block_allowance = 10 * _BLOCK_ROWS * (1 + tree.dims) * 8
+        assert peak <= 1.5 * values.nbytes + block_allowance
+
+
+class TestDensityOverflow:
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_density_raises(self):
+        tree, data = subnormal_tree()
+        with pytest.raises(ValueError, match="overflows float64"):
+            det_density_many(tree, data[:5])
+        assert det_density_many(tree, [[1.0, 1.0], [np.nan, 0.0]]).tolist() == [0.0, 0.0]
+
+    def test_conditional_weights_raise(self):
+        tree, data = subnormal_tree()
+        cond = Condition([(0, float(data[0, 0]))])
+        with pytest.raises(ValueError, match="overflows float64"):
+            find_conditioned_leaves(tree, cond)
+        with pytest.raises(ValueError, match="overflows float64"):
+            sample_conditional(tree, cond, 1, 10)
+
+    def test_unconditional_samples_stay_finite(self):
+        tree, _ = subnormal_tree()
+        points = sample_unconditional(tree, 1, 1000)
+        assert np.all((points >= tree.lower[0]) & (points <= tree.upper[0]))
+
+    def test_empty_leaf_density_is_zero(self):
+        # root [0, 40 u] x [0, 1], u the smallest subnormal, split at 20 u:
+        # an empty lower leaf and a one-sample upper leaf of width 20 u
+        u = np.nextafter(0.0, 1.0)
+        tree = DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [20 * u, 0.0]],
+                       upper=[[40 * u, 1.0], [20 * u, 1.0], [40 * u, 1.0]], split_dim=[0, -1, -1],
+                       upper_child=[2, -1, -1], count=[0, 0, 1], theta=np.zeros((3, 2)), n=1, order=LIN)
+        validate_tree(tree)
+        assert det_density_many(tree, [[5 * u, 0.5], [0.0, 0.0]]).tolist() == [0.0, 0.0]
+        assert find_conditioned_leaves(tree, Condition([(0, 5 * u)])).weights.tolist() == [0.0]
+        with pytest.raises(ValueError, match="overflows float64"):
+            det_density_many(tree, [[5 * u, 0.5], [25 * u, 0.5]])
+        with pytest.raises(ValueError, match="overflows float64"):
+            find_conditioned_leaves(tree, Condition([(0, 25 * u)]))
 
 
 class TestTreeInvariants:

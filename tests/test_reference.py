@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ class TestSampleGaussian:
 
     def test_deterministic(self, ref_gaussian):
         assert np.array_equal(sample_gaussian(ref_gaussian, 4, 100), sample_gaussian(ref_gaussian, 4, 100))
+
+    def test_shift_in_place(self):
+        spec = GaussianSpec(mu=np.array([1.5, -2.25, 0.1]), cov=REF_COV)
+        sample_gaussian(spec, 0, 10)  # first-call allocations of the generator and matmul
+        tracemalloc.start()
+        try:
+            pts = sample_gaussian(spec, 3, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        z = np.random.default_rng(3).standard_normal((200_000, 3))
+        assert pts.tobytes() == (spec.mu + z @ spec.chol.T).tobytes()
+        # the draws and their product with the Cholesky factor, no third array
+        assert peak <= 2 * pts.nbytes + 65536
 
 
 class TestGaussianConditional:

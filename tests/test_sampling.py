@@ -19,7 +19,7 @@ from dettree import (
     sample_unconditional,
     validate_tree,
 )
-from dettree.sampling import _BLOCK_ROWS
+from dettree.core import _BLOCK_ROWS
 
 from conftest import (
     assert_search_matches_oracles,
