@@ -34,11 +34,11 @@ holds v exactly when lower <= v < upper_open; theta; and the leaf flag and
 leaf mass count/n. The sampler also reads the quantile coefficients
 (``DetTree._quantile_planes``), built on the first draw, so a search does
 not pay for them. The density's router reads its own set
-(``DetTree._routing``), built only when a density is first asked for. It
-addresses node i at position 2i: entries 2i and 2i + 1 hold the split
-dimension and midpoint of node i (0 at a leaf) and 2 x its lower and upper
-child (2i twice at a leaf, so a leaf routes to itself); with the tree's
-height. All three assume that the read-only node arrays never change.
+(``DetTree._routing``), built only when a density is first asked for:
+per node the split dimension and midpoint (0 at a leaf), and at 2i and
+2i + 1 the lower and upper child of node i (i twice at a leaf, so a leaf
+routes to itself); with the tree's height. All three assume that the
+read-only node arrays never change.
 
 Blocks. Density and sampling work through their rows in blocks of
 ``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
@@ -171,22 +171,22 @@ class DetTree:
     @cached_property
     def _routing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The router's tables of the module docstring, built on first use:
-        (2N,) ``dim``, ``mid`` and ``child`` at node positions 2i, and the
-        tree's height (splits on its longest root-to-leaf path)."""
+        (N,) ``dim`` and ``mid``, (2N,) ``child``, and the tree's height
+        (splits on its longest root-to-leaf path)."""
         nodes = np.arange(self.split_dim.size)
         splits = nodes[self.split_dim >= 0]
         dim = np.maximum(self.split_dim, 0)
         mid = np.zeros(nodes.size)
         # only at splits: a leaf's box may span a range whose bound sum overflows
         mid[splits] = (self.lower[splits, dim[splits]] + self.upper[splits, dim[splits]]) / 2.0
-        child = np.repeat(2 * nodes, 2)
-        child[2 * splits] = 2 * splits + 2
-        child[2 * splits + 1] = 2 * self.upper_child[splits]
+        child = np.repeat(nodes, 2)
+        child[2 * splits] = splits + 1
+        child[2 * splits + 1] = self.upper_child[splits]
         height, level = 0, nodes[:1]
         while (level := level[self.split_dim[level] >= 0]).size:
             height += 1
             level = np.concatenate([level + 1, self.upper_child[level]])
-        tables = (np.repeat(dim, 2), np.repeat(mid, 2), child)
+        tables = (dim, mid, child)
         for table in tables:
             table.setflags(write=False)
         return (*tables, height)
@@ -300,13 +300,14 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
     at NaN. Raises ValueError where a leaf's density overflows float64.
 
     Rows go in blocks of ``_BLOCK_ROWS``. A block keeps its rows inside the
-    root box and routes them all one tree level per array step for the
-    tree's height, each row at node position p = 2 x node:
-    ``p = child[p + (x[dim[p]] >= mid[p])]``. A leaf routes to itself, so
-    each row stops at the leaf that holds it under the containment
-    convention. The leaf factors, gathered from the tree's tables, are then
-    multiplied into the output slice in dimension order. A call holds its
-    output plus O(block) temporaries (and a float64 copy of points of
+    root box and routes them one tree level per array step,
+    ``node = child[2 node + (x[dim[node]] >= mid[node])]``, so each row
+    stops at the leaf that holds it under the containment convention. A
+    leaf routes to itself; every few levels the rows that sit at a leaf
+    leave the routing, so a row costs its own leaf's depth rather than the
+    tree's height. The leaf factors, gathered from the tree's tables, are
+    then multiplied into the output slice in dimension order. A call holds
+    its output plus O(block) temporaries (and a float64 copy of points of
     another dtype).
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -328,14 +329,26 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
             values = np.empty(block.shape[0])
         # row r's coordinate k sits at r * d + k of the flat C-ordered block
         flat = np.ascontiguousarray(block).reshape(-1)
-        row_start = np.arange(0, flat.size, tree.dims)
-        position = np.zeros(block.shape[0], dtype=np.intp)
-        for _ in range(height):
-            at = dim.take(position)
+        # the rows still routing, their coordinates' offset in flat, their nodes
+        rows = np.arange(block.shape[0])
+        row_start, current = rows * tree.dims, np.zeros_like(rows)
+        node = np.empty_like(rows)
+        for level in range(1, height + 1):
+            at = dim.take(current)
             at += row_start
-            position += flat.take(at) >= mid.take(position)
-            position = child.take(position)
-        node = position >> 1
+            bit = flat.take(at) >= mid.take(current)
+            current *= 2
+            current += bit
+            current = child.take(current)
+            if level % 4 == 0:  # 2-8 levels measured alike; each check costs a pass
+                done = tables.is_leaf.take(current)
+                if done.any():
+                    node[rows[done]] = current[done]
+                    keep = ~done
+                    rows, row_start, current = rows[keep], row_start[keep], current[keep]
+                    if not rows.size:
+                        break
+        node[rows] = current
         tables.mass.take(node, out=values)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
             for k in range(tree.dims):
@@ -361,12 +374,12 @@ def validate_tree(tree: DetTree) -> None:
     raises ValueError on the first violation.
 
     Shapes; n >= 1 and one column name per dimension; finite bounds and
-    strictly positive widths; |theta| <= 1; nonnegative counts summing to n;
-    count 0 at splits and theta 0 wherever the count is 0 (splits, empty
-    leaves) and everywhere in a constant-order tree; the topology (one tree
-    in preorder, lower child at i + 1, upper child just past the lower
-    subtree); children that partition their parent's box exactly at its
-    midpoint.
+    strictly positive, finite widths; |theta| <= 1; nonnegative counts
+    summing to n; count 0 at splits and theta 0 wherever the count is 0
+    (splits, empty leaves) and everywhere in a constant-order tree; the
+    topology (one tree in preorder, lower child at i + 1, upper child just
+    past the lower subtree); children that partition their parent's box
+    exactly at its midpoint.
     """
     lower, upper, theta, count, split_dim = tree.lower, tree.upper, tree.theta, tree.count, tree.split_dim
     if lower.ndim != 2 or 0 in lower.shape:
@@ -384,6 +397,10 @@ def validate_tree(tree: DetTree) -> None:
         raise ValueError("box bounds must be finite")
     if not np.all(lower < upper):
         raise ValueError("box widths must be strictly positive")
+    with np.errstate(over="ignore"):  # the overflow is the finding
+        wide = not np.all(np.isfinite(upper - lower))
+    if wide:
+        raise ValueError("box widths must be finite: a bound range overflows float64")
     bad = ~(np.abs(theta) <= 1.0)  # also catches NaN and infinities
     if np.any(bad):
         raise ValueError(f"theta must lie in [-1, 1], got {theta[bad][0]}")
@@ -443,7 +460,7 @@ def _check_overflow(values, mass, leaves) -> None:
         return
     values[mass.take(leaves) == 0.0] = 0.0
     if not np.isfinite(values).all():
-        raise ValueError("the density overflows float64: a leaf box is too narrow for its mass")
+        raise ValueError("the density overflows float64 in a nonempty leaf")
 
 
 def _check_widths(lo, hi) -> None:

@@ -25,7 +25,6 @@ output plus O(block) temporaries.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -169,33 +168,16 @@ def find_conditioned_leaves(
         for node in visited.tolist():
             on_visit(node)
 
-    # A factor is at most 2 / width, so while every width exceeds this floor
-    # no weight can overflow float64. Silencing float overflow costs a fresh
-    # process tens of microseconds on first use, so only narrower leaves pay.
-    floor = 4.0 * sys.float_info.max ** (-1.0 / max(len(cond), 1))
-    weights = _conditioned_weights(tables, cond, leaves, floor)
-    if weights is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            weights = _conditioned_weights(tables, cond, leaves, 0.0)
-        if weights is None:
-            raise ValueError("need lo < hi")
-        _check_overflow(weights, tables.mass, leaves)
-    return WeightedLeafSet(leaves, weights, float(weights.sum()))
-
-
-def _conditioned_weights(tables, cond: Condition, leaves: np.ndarray, floor: float) -> Optional[np.ndarray]:
-    """Leaf mass times the marginal densities at the conditioning values, or
-    None if some leaf is no wider than ``floor`` >= 0 along a conditioned
-    dimension."""
     weights = tables.mass.take(leaves)
-    for dim, value in cond.entries:
-        lo, width = tables.lower[dim].take(leaves), tables.width[dim].take(leaves)
-        # width = hi - lo is positive exactly when lo < hi (IEEE subtraction
-        # is exact near zero); the mask already holds each value inside [lo, hi]
-        if not np.all(floor < width):
-            return None
-        weights *= _density(tables.theta[dim].take(leaves), lo, width, value)
-    return weights
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for dim, value in cond.entries:
+            lo, width = tables.lower[dim].take(leaves), tables.width[dim].take(leaves)
+            # width = hi - lo is positive exactly when lo < hi (IEEE subtraction
+            # is exact near zero); the mask already holds each value inside [lo, hi]
+            _check_widths(0.0, width)
+            weights *= _density(tables.theta[dim].take(leaves), lo, width, value)
+    _check_overflow(weights, tables.mass, leaves)
+    return WeightedLeafSet(leaves, weights, float(weights.sum()))
 
 
 def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) -> np.ndarray:

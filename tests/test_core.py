@@ -398,6 +398,15 @@ class TestDensityOverflow:
         with pytest.raises(ValueError, match="overflows float64"):
             sample_conditional(tree, cond, 1, 10)
 
+    def test_overflowing_width(self):
+        # finite bounds whose width overflows float64: the box is too wide
+        wide = leaf_tree([-0.9e308], [0.9e308], 1, 1)
+        with pytest.raises(ValueError, match="widths must be finite"):
+            validate_tree(wide)
+        # unvalidated, its derived widths overflow, and so does the density
+        with pytest.raises(ValueError, match="overflows float64"), pytest.warns(RuntimeWarning):
+            det_density_many(wide, [[0.0], [0.9e308]])
+
     def test_unconditional_samples_stay_finite(self):
         tree, _ = subnormal_tree()
         points = sample_unconditional(tree, 1, 1000)
