@@ -146,9 +146,7 @@ def _cmd_build(args) -> int:
 def _cmd_sample(args) -> int:
     tree = read_tree(_existing(args.tree))
     cond = _parse_conditions(args.cond, tree.dims)
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
-    points = sample_conditional(tree, cond, args.seed, args.n)
+    points = sample_conditional(tree, cond, args.seed, _nonneg(args.n))
     write_csv(args.out, points, tree.column_names)
     return 0
 

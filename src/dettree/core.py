@@ -26,19 +26,18 @@ Containment convention: leaf intervals are closed below and open above,
 This makes the leaves an exact partition of the root box, so every point
 (including split boundaries) belongs to exactly one leaf.
 
-Derived tables. The search, the sampler and the density read tables that a
-tree derives from its node arrays on first use (``DetTree._tables``), one
-contiguous row per dimension: the node lower bounds and widths; the upper
-bounds, with each face on the root's upper boundary stored as +inf so a box
-holds v exactly when lower <= v < upper_open; theta; and the leaf flag and
-leaf mass count/n. The sampler also reads the quantile coefficients
-(``DetTree._quantile_planes``), built on the first draw, so a search does
-not pay for them. The density's router reads its own set
-(``DetTree._routing``), built only when a density is first asked for:
-per node the split dimension and midpoint (0 at a leaf), and at 2i and
-2i + 1 the lower and upper child of node i (i twice at a leaf, so a leaf
-routes to itself); with the tree's height. All three assume that the
-read-only node arrays never change.
+Derived tables. The search, the sampler and the density read one set of
+tables that a tree derives from its node arrays on first use
+(``DetTree._tables``), after checking once that every node box has
+lower < upper. Per dimension, one contiguous row per table: the node lower
+bounds and widths; the upper bounds, with each face on the root's upper
+boundary stored as +inf so a box holds v exactly when lower <= v < upper_open;
+theta; and the sampler's quantile coefficients, of which the lower bounds
+and widths are the first two planes. Per node: the leaf flag and leaf mass
+count/n, and the density router's split dimension and midpoint (0 at a
+leaf), with at 2i and 2i + 1 the lower and upper child of node i (i twice
+at a leaf, so a leaf routes to itself). The set assumes that the read-only
+node arrays never change.
 
 Blocks. Density and sampling work through their rows in blocks of
 ``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
@@ -143,36 +142,15 @@ class DetTree:
 
     @cached_property
     def _tables(self) -> "_NodeTables":
-        """The derived tables of the module docstring, built on first use."""
+        """The derived tables of the module docstring, checked and built on
+        first use. A tree that fails the check raises on every call, since
+        a raised exception is not cached."""
+        _check_widths(self.lower, self.upper)
         lower, upper, theta = (np.ascontiguousarray(x.T) for x in (self.lower, self.upper, self.theta))
-        tables = _NodeTables(
-            lower=lower,
-            width=upper - lower,
-            upper_open=np.where(upper == upper[:, :1], np.inf, upper),  # faces on the root's upper boundary
-            theta=theta,
-            is_leaf=self.split_dim < 0,
-            mass=self.count / self.n,
-        )
-        for table in tables:
-            table.setflags(write=False)
-        return tables
-
-    @cached_property
-    def _quantile_planes(self) -> np.ndarray:
-        """The (6, d, N) planes lo, width, cap, a, a^2 and b that the sampler
-        passes to ``_quantile``, built on the first draw."""
-        lower, theta, upper = self._tables.lower, self._tables.theta, np.ascontiguousarray(self.upper.T)
+        root_face = upper == upper[:, :1]
         # a draw is capped below an open upper face, which belongs to the neighbour
-        cap = np.where(upper == upper[:, :1], upper, np.nextafter(upper, lower))
+        cap = np.where(root_face, upper, np.nextafter(upper, lower))
         quantile = _quantile_coefficients(theta, lower, upper, cap)
-        quantile.setflags(write=False)
-        return quantile
-
-    @cached_property
-    def _routing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """The router's tables of the module docstring, built on first use:
-        (N,) ``dim`` and ``mid``, (2N,) ``child``, and the tree's height
-        (splits on its longest root-to-leaf path)."""
         nodes = np.arange(self.split_dim.size)
         splits = nodes[self.split_dim >= 0]
         dim = np.maximum(self.split_dim, 0)
@@ -182,26 +160,40 @@ class DetTree:
         child = np.repeat(nodes, 2)
         child[2 * splits] = splits + 1
         child[2 * splits + 1] = self.upper_child[splits]
-        height, level = 0, nodes[:1]
-        while (level := level[self.split_dim[level] >= 0]).size:
-            height += 1
-            level = np.concatenate([level + 1, self.upper_child[level]])
-        tables = (dim, mid, child)
+        tables = _NodeTables(
+            quantile=quantile,
+            lower=quantile[0],
+            width=quantile[1],
+            upper_open=np.where(root_face, np.inf, upper),
+            theta=theta,
+            is_leaf=self.split_dim < 0,
+            mass=self.count / self.n,
+            dim=dim,
+            mid=mid,
+            child=child,
+        )
         for table in tables:
             table.setflags(write=False)
-        return (*tables, height)
+        return tables
 
 
 class _NodeTables(NamedTuple):
-    """Per-dimension node columns: (d, N) ``lower``, ``width``,
-    ``upper_open`` and ``theta``, and (N,) ``is_leaf`` and ``mass``."""
+    """The (6, d, N) ``quantile`` planes lo, width, cap, a, a^2 and b that
+    the sampler passes to ``_quantile``; per-dimension node rows: (d, N)
+    ``lower`` and ``width`` (views of the first two planes), ``upper_open``
+    and ``theta``; per node: (N,) ``is_leaf`` and ``mass``, and the router's
+    (N,) ``dim`` and ``mid`` and (2N,) ``child``."""
 
+    quantile: np.ndarray
     lower: np.ndarray
     width: np.ndarray
     upper_open: np.ndarray
     theta: np.ndarray
     is_leaf: np.ndarray
     mass: np.ndarray
+    dim: np.ndarray
+    mid: np.ndarray
+    child: np.ndarray
 
 
 class DetNode(NamedTuple):
@@ -226,9 +218,16 @@ def marginal_density(theta, lo, hi, x):
     """Density p[x | theta] = (1 + theta*(2t - 1)) / (hi - lo) with
     t = (x - lo)/(hi - lo). Nonnegative on [lo, hi] and integrates to one.
     Every argument may be a float or an array (broadcast elementwise).
+    Raises ValueError where the density overflows float64, as it does for a
+    subnormal width.
     """
     _check_support(lo, hi, x)
-    return _density(theta, lo, np.subtract(hi, lo), x)
+    width = np.subtract(hi, lo)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        density = _density(theta, lo, width, x)
+    if not np.isfinite(density).all():
+        raise ValueError("the density overflows float64")
+    return density
 
 
 def marginal_cdf(theta, lo, hi, x):
@@ -257,8 +256,8 @@ def marginal_quantile(theta, lo, hi, y):
 
 # Unchecked arithmetic of marginal_density and marginal_quantile, for callers
 # whose routing or RNG already guarantees the arguments: lo < hi checked once
-# per call on the leaf tables, x inside [lo, hi] by the containment
-# convention, y in [0, 1) by the generator.
+# per tree when its derived tables are built, x inside [lo, hi] by the
+# containment convention, y in [0, 1) by the generator.
 
 
 def _density(theta, lo, width, x):
@@ -297,27 +296,26 @@ def _quantile(coef, y) -> None:
 def det_density_many(tree: DetTree, points) -> np.ndarray:
     """Estimated density at each row of an (m, d) batch: the containing
     leaf's (count/n) times its marginal densities, 0 outside the root box and
-    at NaN. Raises ValueError where a leaf's density overflows float64.
+    at NaN. Raises ValueError where a node box has no width, or where a
+    leaf's density overflows float64.
 
-    Rows go in blocks of ``_BLOCK_ROWS``. A block keeps its rows inside the
-    root box and routes them one tree level per array step,
-    ``node = child[2 node + (x[dim[node]] >= mid[node])]``, so each row
-    stops at the leaf that holds it under the containment convention. A
-    leaf routes to itself; every few levels the rows that sit at a leaf
-    leave the routing, so a row costs its own leaf's depth rather than the
-    tree's height. The leaf factors, gathered from the tree's tables, are
-    then multiplied into the output slice in dimension order. A call holds
-    its output plus O(block) temporaries (and a float64 copy of points of
-    another dtype).
+    Rows go in blocks of ``_BLOCK_ROWS``, each converted to float64 on its
+    own. A block keeps its rows inside the root box and routes them one tree
+    level per array step, ``node = child[2 node + (x[dim[node]] >= mid[node])]``,
+    so each row stops at the leaf that holds it under the containment
+    convention. A leaf routes to itself; every few levels the rows that sit
+    at a leaf leave the routing, so a row costs its own leaf's depth rather
+    than the tree's height. ``_leaf_density`` then evaluates each row's leaf
+    at the row. A call holds its output plus O(block) temporaries, whatever
+    the dtype of ``points``.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != tree.dims:
         raise ValueError(f"points must have shape (m, {tree.dims})")
-    _check_widths(tree.lower, tree.upper)  # once per call; the routing keeps each point inside its leaf
+    tables = tree._tables
     out = np.zeros(pts.shape[0])
-    (dim, mid, child, height), tables = tree._routing, tree._tables
     for start in range(0, out.size, _BLOCK_ROWS):
-        block = pts[start:start + _BLOCK_ROWS]
+        block = np.asarray(pts[start:start + _BLOCK_ROWS], dtype=np.float64)
         values = out[start:start + _BLOCK_ROWS]
         inside = np.ones(block.shape[0], dtype=bool)
         for k in range(tree.dims):  # per column: a reduction along a short row is slow
@@ -333,30 +331,42 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
         rows = np.arange(block.shape[0])
         row_start, current = rows * tree.dims, np.zeros_like(rows)
         node = np.empty_like(rows)
-        for level in range(1, height + 1):
-            at = dim.take(current)
+        level = 0
+        while rows.size:
+            at = tables.dim.take(current)
             at += row_start
-            bit = flat.take(at) >= mid.take(current)
+            bit = flat.take(at) >= tables.mid.take(current)
             current *= 2
             current += bit
-            current = child.take(current)
+            current = tables.child.take(current)
+            level += 1
             if level % 4 == 0:  # 2-8 levels measured alike; each check costs a pass
                 done = tables.is_leaf.take(current)
                 if done.any():
                     node[rows[done]] = current[done]
                     keep = ~done
                     rows, row_start, current = rows[keep], row_start[keep], current[keep]
-                    if not rows.size:
-                        break
-        node[rows] = current
-        tables.mass.take(node, out=values)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            for k in range(tree.dims):
-                values *= _density(tables.theta[k].take(node), tables.lower[k].take(node),
-                                   tables.width[k].take(node), block[:, k])
-        _check_overflow(values, tables.mass, node)
+        _leaf_density(tables, node, enumerate(block.T), values)
         if partial:
             out[start:start + _BLOCK_ROWS][inside] = values
+    return out
+
+
+def _leaf_density(tables: _NodeTables, leaves, columns, out) -> np.ndarray:
+    """Fill and return ``out``: each leaf's mass times its marginal densities
+    at the (dim, coordinates) pairs ``columns``, which must lie in the leaf's
+    box. 0 stands at an empty leaf however narrow its box (0 times an
+    overflowed factor is NaN); a nonempty leaf whose density overflows
+    float64 raises ValueError."""
+    tables.mass.take(leaves, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for dim, x in columns:
+            out *= _density(tables.theta[dim].take(leaves), tables.lower[dim].take(leaves),
+                            tables.width[dim].take(leaves), x)
+    if not np.isfinite(out).all():
+        out[tables.mass.take(leaves) == 0.0] = 0.0
+        if not np.isfinite(out).all():
+            raise ValueError("the density overflows float64 in a nonempty leaf")
     return out
 
 
@@ -449,18 +459,6 @@ def validate_tree(tree: DetTree) -> None:
         raise ValueError("children do not exactly partition their parent box")
     if not np.array_equal(cut, (lower[splits, k] + upper[splits, k]) / 2.0):
         raise ValueError("a split is not at the midpoint of its box")
-
-
-def _check_overflow(values, mass, leaves) -> None:
-    """Check the products of leaf mass and marginal densities, evaluated
-    with float overflow silenced, for the leaves ``leaves``: 0 stands at an
-    empty leaf however narrow its box (0 times an overflowed factor is NaN),
-    and a nonempty leaf whose density overflowed raises ValueError."""
-    if np.isfinite(values).all():
-        return
-    values[mass.take(leaves) == 0.0] = 0.0
-    if not np.isfinite(values).all():
-        raise ValueError("the density overflows float64 in a nonempty leaf")
 
 
 def _check_widths(lo, hi) -> None:

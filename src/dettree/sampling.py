@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, DetTree, _check_overflow, _check_widths, _density, _quantile
+from .core import _BLOCK_ROWS, DetTree, _leaf_density, _quantile
 
 __all__ = [
     "Condition",
@@ -145,7 +145,8 @@ def find_conditioned_leaves(
     whose box excludes a value; their leaves are the result. ``on_visit`` is a
     diagnostics hook called with the id of each such node in ascending order,
     which is the depth-first preorder; the empty condition visits every node.
-    Raises ValueError where a nonempty leaf's weight overflows float64.
+    Raises ValueError where a node box has no width, or where a nonempty
+    leaf's weight overflows float64.
     """
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
@@ -154,29 +155,16 @@ def find_conditioned_leaves(
             raise ValueError(f"conditioning value {value} for dimension {dim} lies outside the root cuboid")
 
     tables = tree._tables
-    if cond.entries:
-        keep = None
-        for dim, value in cond.entries:
-            inside = (tables.lower[dim] <= value) & (value < tables.upper_open[dim])
-            keep = inside if keep is None else keep & inside
-        visited = np.flatnonzero(keep)
-        leaves = visited[tables.is_leaf[visited]]
-    else:
-        visited = np.arange(tables.mass.size)
-        leaves = np.flatnonzero(tables.is_leaf)
+    keep = np.ones(tables.mass.size, dtype=bool)
+    for dim, value in cond.entries:
+        keep &= tables.lower[dim] <= value
+        keep &= value < tables.upper_open[dim]
+    visited = np.flatnonzero(keep)
+    leaves = visited[tables.is_leaf[visited]]
     if on_visit is not None:
         for node in visited.tolist():
             on_visit(node)
-
-    weights = tables.mass.take(leaves)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for dim, value in cond.entries:
-            lo, width = tables.lower[dim].take(leaves), tables.width[dim].take(leaves)
-            # width = hi - lo is positive exactly when lo < hi (IEEE subtraction
-            # is exact near zero); the mask already holds each value inside [lo, hi]
-            _check_widths(0.0, width)
-            weights *= _density(tables.theta[dim].take(leaves), lo, width, value)
-    _check_overflow(weights, tables.mass, leaves)
+    weights = _leaf_density(tables, leaves, cond.entries, np.empty(leaves.size))
     return WeightedLeafSet(leaves, weights, float(weights.sum()))
 
 
@@ -200,12 +188,10 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
         return np.empty((0, d))
     cum, last = _cumulative(leaf_set.weights)
     # ids of the (leaf, free dimension) pairs in the flattened coefficient
-    # planes, whose widths are checked once here instead of per sample; the
-    # generator keeps every uniform in [0, 1)
-    coefficients = tree._quantile_planes
+    # planes; the generator keeps every uniform in [0, 1)
+    coefficients = tree._tables.quantile
     planes = coefficients.reshape(coefficients.shape[0], -1)
     pairs = free * coefficients.shape[2] + leaf_set.leaves[:, None]
-    _check_widths(0.0, planes[1].take(pairs))
     out = np.empty((count, d))
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)

@@ -366,15 +366,18 @@ class TestBlockwiseDensity:
         points = sample_unconditional(tree, 1, 200_000)
         points[::1000] = np.nan  # some blocks route only part of their rows
         det_density_many(tree, points[:10])  # builds the tree's derived tables
-        tracemalloc.start()
-        try:
-            values = det_density_many(tree, points)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # integer points are converted one block at a time too
+        integers = np.where(np.isnan(points), 10**6, np.rint(points)).astype(np.int64)
         # a block's temporaries: at most ten float64 values per coordinate it routes
         block_allowance = 10 * _BLOCK_ROWS * (1 + tree.dims) * 8
-        assert peak <= 1.5 * values.nbytes + block_allowance
+        for batch in (points, integers):
+            tracemalloc.start()
+            try:
+                values = det_density_many(tree, batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * values.nbytes + block_allowance
 
 
 class TestDensityOverflow:
@@ -397,6 +400,11 @@ class TestDensityOverflow:
             find_conditioned_leaves(tree, cond)
         with pytest.raises(ValueError, match="overflows float64"):
             sample_conditional(tree, cond, 1, 10)
+
+    def test_marginal_density_raises(self):
+        # a subnormal width: 1 / 5e-322 exceeds the float64 range
+        with pytest.raises(ValueError, match="overflows float64"):
+            marginal_density(0.0, 0.0, 5e-322, 1e-322)
 
     def test_overflowing_width(self):
         # finite bounds whose width overflows float64: the box is too wide

@@ -194,6 +194,19 @@ class TestFindConditionedLeaves:
         # a hand-built tree that never went through validate_tree
         with pytest.raises(ValueError, match="lo < hi"):
             find_conditioned_leaves(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), Condition([(1, 0.0)]))
+        # the tree's derived tables are checked, not the leaves a call reads:
+        # every reader raises, and raises again on a second call on the same tree
+        tree = leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1)
+        calls = [
+            lambda: find_conditioned_leaves(tree, Condition([(0, 0.5)])),
+            lambda: find_conditioned_leaves(tree, Condition()),
+            lambda: det_density_many(tree, [[0.5, 0.0]]),
+            lambda: sample_unconditional(tree, 0, 10),
+            lambda: sample_conditional(tree, Condition([(1, 0.0)]), 0, 10),
+        ]
+        for call in calls + calls:
+            with pytest.raises(ValueError, match="lo < hi"):
+                call()
 
 
 @st.composite
