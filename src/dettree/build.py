@@ -13,6 +13,14 @@ where the density is curved but balanced. The node is split along the least
 compatible dimension when the combined test rejects; otherwise it becomes a
 leaf. Construction is a pure function of (ensemble, config), so rebuilding
 from identical input yields a bit-identical tree.
+
+What a node computes: the three counts below the quartile cuts of each
+dimension, whether each dimension varies, theta per dimension, and from
+these the p-values. What it inherits: a split halves one dimension and
+keeps the others' boxes, and so their cuts, so the children get their
+counts there from the parent; a node counts only the dimension its parent
+split. ``estimate_theta`` and ``fit_pvalue`` state the statistics on a plain
+array of values; ``build_tree`` computes the same bits with fewer passes.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ __all__ = [
 # Node sizes up to this use the exact binomial tail; larger ones use the
 # normal approximation with continuity correction.
 EXACT_BINOMIAL_LIMIT = 30
+
+# math.comb(m, j) as floats for m up to the limit; each is below 2**53, so
+# exact, and int * float converts the int the same way
+_BINOMIAL = [[float(math.comb(m, j)) for j in range(m + 1)] for m in range(EXACT_BINOMIAL_LIMIT + 1)]
 
 # Deepest tree the builder may grow. Tree documents nest one record level
 # per tree level and ``json.load`` recurses twice per record level, so
@@ -185,54 +197,98 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
     partitions the block stably into the two child blocks, and the next pop
     drops it, so outside a split the live blocks hold at most one copy of the
     data.
+
+    A tested node reads its block only for what its parent could not hand
+    down. The parent hands down the counts below the quartile cuts of every
+    dimension but its split dimension, where the child's box and cuts are
+    the parent's: it counts the smaller child's block and gives the other
+    child the differences. So a node counts only its parent's split
+    dimension (the root counts all of them), and a split along that
+    dimension partitions by the midpoint mask of the count. A min/max pass
+    runs only for a dimension whose counts are all 0 or m; any other count
+    shows that the values differ. Theta is fitted for the varying
+    dimensions, and for the others only if the node becomes a leaf.
     """
     d = ensemble.dims
+    linear = config.order is MarginalOrder.LINEAR
     root_lower, root_upper = root_cuboid(ensemble, config.bounds_padding_rel)
     nodes, upper_child = [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
-    # pending nodes: (column block, lower, upper, depth, id of the parent whose upper child it is)
-    stack = [(np.ascontiguousarray(ensemble.data.T), root_lower.tolist(), root_upper.tolist(), 0, -1)]
+    # pending nodes: (column block, lower, upper, depth, id of the parent whose upper child it is,
+    # per dimension the quartile counts handed down, None where the node counts them itself)
+    stack = [(np.ascontiguousarray(ensemble.data.T), root_lower.tolist(), root_upper.tolist(), 0, -1, [None] * d)]
     while stack:
-        cols, lower, upper, depth, parent = stack.pop()
+        cols, lower, upper, depth, parent, counts = stack.pop()
         if parent >= 0:
             upper_child[parent] = len(nodes)
         upper_child.append(-1)
-        if config.order is MarginalOrder.LINEAR and cols.shape[1] > 0:
-            thetas = [estimate_theta(cols[i], lower[i], upper[i]) for i in range(d)]
-        else:
-            thetas = [0.0] * d
-        best = _split_choice(cols, lower, upper, thetas, depth, config)
+        m = cols.shape[1]
+        thetas = [None] * d if linear and m > 0 else [0.0] * d
+        best, masks = -1, {}
+        if m > config.min_leaf_count and depth < config.max_depth:
+            for i in range(d):
+                if counts[i] is None:
+                    counts[i], masks[i] = _quartile_counts(cols[i], lower[i], upper[i])
+            varying = [i for i in range(d) if any(0 < k < m for k in counts[i]) or cols[i].min() < cols[i].max()]
+            for i in varying:
+                if thetas[i] is None:
+                    thetas[i] = _theta(cols[i], lower[i], upper[i])
+            # ties to the lowest index; with no varying dimension p = 1 is never below alpha
+            pvalue, best = min(((_quartile_pvalue(counts[i], m, thetas[i]), i) for i in varying), default=(1.0, -1))
+            position = (lower[best] + upper[best]) / 2.0
+            # a box one ulp wide has no midpoint strictly inside and cannot split
+            if not (pvalue < config.alpha and lower[best] < position < upper[best]):
+                best = -1
         if best < 0:
-            nodes.append((lower, upper, -1, cols.shape[1], thetas))
+            thetas = [_theta(cols[i], lower[i], upper[i]) if theta is None else theta for i, theta in enumerate(thetas)]
+            nodes.append((lower, upper, -1, m, thetas))
             continue
         nodes.append((lower, upper, best, 0, [0.0] * d))
-        position = (lower[best] + upper[best]) / 2.0
-        below = cols[best] < position
+        below = masks[best] if best in masks else cols[best] < position
         lo_upper, hi_lower = upper.copy(), lower.copy()
         lo_upper[best] = hi_lower[best] = position
         # compress keeps C order and the points' order; cols[:, below] would be F-ordered
-        stack.append((np.compress(~below, cols, axis=1), hi_lower, upper, depth + 1, len(nodes) - 1))
-        stack.append((np.compress(below, cols, axis=1), lower, lo_upper, depth + 1, -1))
+        lo_cols, hi_cols = np.compress(below, cols, axis=1), np.compress(~below, cols, axis=1)
+        lo_counts, hi_counts = [None] * d, [None] * d
+        if max(lo_cols.shape[1], hi_cols.shape[1]) > config.min_leaf_count and depth + 1 < config.max_depth:
+            small, small_counts, other_counts = ((lo_cols, lo_counts, hi_counts) if lo_cols.shape[1] <= hi_cols.shape[1]
+                                                 else (hi_cols, hi_counts, lo_counts))
+            for i in range(d):
+                if i != best:
+                    small_counts[i] = _quartile_counts(small[i], lower[i], upper[i])[0]
+                    other_counts[i] = tuple(k - s for k, s in zip(counts[i], small_counts[i]))
+        stack.append((hi_cols, hi_lower, upper, depth + 1, len(nodes) - 1, hi_counts))
+        stack.append((lo_cols, lower, lo_upper, depth + 1, -1, lo_counts))
     lower, upper, split_dim, count, theta = zip(*nodes)
     return DetTree(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=count, theta=theta,
                    n=ensemble.n, order=config.order, column_names=ensemble.column_names)
 
 
-def _split_choice(cols: np.ndarray, lower: list, upper: list, thetas: list, depth: int, config: BuildConfig) -> int:
-    """The dimension to split a node along, or -1 to make it a leaf."""
-    if cols.shape[1] <= config.min_leaf_count or depth >= config.max_depth:
-        return -1
-    varying = [i for i in range(len(lower)) if cols[i].min() < cols[i].max()]
-    pvalues = {i: fit_pvalue(cols[i], lower[i], upper[i], thetas[i]) for i in varying}
-    best = min(varying, key=lambda i: (pvalues[i], i), default=None)
-    if best is None or not pvalues[best] < config.alpha:
-        return -1
-    # a box one ulp wide has no midpoint strictly inside and cannot split
-    return best if lower[best] < (lower[best] + upper[best]) / 2.0 < upper[best] else -1
+def _quartile_counts(row: np.ndarray, lo: float, hi: float) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The counts of ``row`` below the cuts that ``_threshold_pvalue`` makes
+    at 1/4, 1/2 and 3/4 of [lo, hi], and the mask below the midpoint."""
+    mid = row < (lo + hi) / 2.0
+    counts = (int(np.count_nonzero(row < lo + 0.25 * (hi - lo))), int(np.count_nonzero(mid)),
+              int(np.count_nonzero(row < lo + 0.75 * (hi - lo))))
+    return counts, mid
+
+
+def _quartile_pvalue(counts: tuple[int, int, int], m: int, theta: float) -> float:
+    """``fit_pvalue`` of m values with these quartile counts."""
+    test = _binomial_two_sided_exact if m <= EXACT_BINOMIAL_LIMIT else _binomial_two_sided_normal
+    return min(1.0, 3.0 * min(test(k, m, t * (1.0 + theta * (t - 1.0))) for k, t in zip(counts, (0.25, 0.5, 0.75))))
+
+
+def _theta(row: np.ndarray, lo: float, hi: float) -> float:
+    """``estimate_theta`` of a nonempty row, with one temporary: the sum
+    divided by the size is the bits of ``mean``."""
+    t = row - lo
+    t /= hi - lo
+    return min(max(6.0 * (float(np.add.reduce(t)) / t.size - 0.5), -1.0), 1.0)
 
 
 def _binomial_two_sided_exact(k: int, m: int, p0: float) -> float:
     q0 = 1.0 - p0
-    pmf = [math.comb(m, j) * p0**j * q0 ** (m - j) for j in range(m + 1)]
+    pmf = [c * p0**j * q0 ** (m - j) for j, c in enumerate(_BINOMIAL[m])]
     lower = sum(pmf[: k + 1])
     upper = sum(pmf[k:])
     return min(1.0, 2.0 * min(lower, upper))

@@ -218,9 +218,10 @@ def marginal_density(theta, lo, hi, x):
     """Density p[x | theta] = (1 + theta*(2t - 1)) / (hi - lo) with
     t = (x - lo)/(hi - lo). Nonnegative on [lo, hi] and integrates to one.
     Every argument may be a float or an array (broadcast elementwise).
-    Raises ValueError where the density overflows float64, as it does for a
-    subnormal width.
+    Raises ValueError for a theta outside [-1, 1], and where the density
+    overflows float64, as it does for a subnormal width.
     """
+    _check_theta(theta)
     _check_support(lo, hi, x)
     width = np.subtract(hi, lo)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
@@ -234,6 +235,7 @@ def marginal_cdf(theta, lo, hi, x):
     """CDF of the marginal: F(t) = (1 - theta)*t + theta*t^2, evaluated as
     t*(1 + theta*(t - 1)) so the endpoints land on exactly 0 and 1.
     """
+    _check_theta(theta)
     _check_support(lo, hi, x)
     t = (x - lo) / (hi - lo)
     return t * (1.0 + theta * (t - 1.0))
@@ -245,6 +247,7 @@ def marginal_quantile(theta, lo, hi, y):
     near theta = 0 this degrades to the uniform quantile t = y. The result is
     clipped into [lo, hi] against roundoff.
     """
+    _check_theta(theta)
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError("quantile argument must lie in [0, 1]")
     _check_widths(lo, hi)
@@ -459,6 +462,12 @@ def validate_tree(tree: DetTree) -> None:
         raise ValueError("children do not exactly partition their parent box")
     if not np.array_equal(cut, (lower[splits, k] + upper[splits, k]) / 2.0):
         raise ValueError("a split is not at the midpoint of its box")
+
+
+def _check_theta(theta) -> None:
+    # outside [-1, 1] the marginal density turns negative somewhere in its support
+    if not np.all(np.abs(theta) <= 1.0):  # also false for NaN
+        raise ValueError("theta must lie in [-1, 1]")
 
 
 def _check_widths(lo, hi) -> None:

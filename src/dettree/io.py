@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -160,13 +159,68 @@ def document_to_tree(doc: dict) -> DetTree:
 
 
 def write_tree(path, tree: DetTree) -> None:
-    """Write the tree document as ``json.dump(doc, indent=2)`` would, plus a
-    final newline. CPython serves indented dumps with its pure-Python
-    encoder, so the layout is produced here directly."""
-    text = _indented_json(tree_to_document(tree))
+    """Write the tree document as ``json.dump(tree_to_document(tree),
+    indent=2)`` would, plus a final newline, straight from the node arrays.
+    Nodes are formatted in preorder, which is the document's text order, each
+    with one ``%`` template per (depth, leaf or split). A split's template
+    ends where its lower child's record begins; after a leaf come the closing
+    brackets of the splits whose subtrees end there and the comma before the
+    next record, an upper child's. A non-finite bound, leaf theta or split
+    position raises ValueError before the file is opened.
+    """
+    nodes, dims = tree.split_dim.size, tree.dims
+    splits = np.flatnonzero(tree.split_dim >= 0)
+    cut = (splits, tree.split_dim[splits])
+    position = np.zeros(nodes)
+    with np.errstate(over="ignore"):  # an overflowing position is refused below
+        position[splits] = (tree.lower[cut] + tree.upper[cut]) / 2.0
+    for values in (tree.lower, tree.upper, tree.theta[tree.split_dim < 0], position):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"tree documents hold finite floats only, got {float(values[bad][0])!r}")
+    lower, upper, theta, position = tree.lower.tolist(), tree.upper.tolist(), tree.theta.tolist(), position.tolist()
+    split_dim, upper_child, count = tree.split_dim.tolist(), tree.upper_child.tolist(), tree.count.tolist()
+    names = ",\n    ".join(map(encode_basestring_ascii, tree.column_names))
+    parts = [f'{{\n  "formatVersion": {FORMAT_VERSION},\n  "n": {tree.n},\n  "dims": {dims},\n'
+             f'  "columnNames": [\n    {names}\n  ],\n  "order": {encode_basestring_ascii(tree.order.value)},\n'
+             f'  "root": ']
+    templates = {}
+    depth = [0] * (nodes + 1)  # the last entry stands for the end of the document
+    for node, dim in enumerate(split_dim):
+        k, leaf = depth[node], dim < 0
+        template = templates.get((k, leaf))
+        if template is None:
+            template = templates[k, leaf] = _record_template(k, dims, leaf)
+        if not leaf:
+            depth[node + 1] = depth[upper_child[node]] = k + 1
+            parts.append(template % (*lower[node], *upper[node], dim, position[node]))
+            continue
+        parts.append(template % (*lower[node], *upper[node], count[node], *theta[node]))
+        # the next node is an upper child, so this leaf ends the subtrees of the splits deeper than its parent
+        following = depth[node + 1]
+        for closed in range(k - 1, following - 1, -1):
+            parts.append("\n" + "  " * (2 + 2 * closed) + "]\n" + "  " * (1 + 2 * closed) + "}")
+        if following:
+            parts.append(",\n" + "  " * (1 + 2 * following))
+    parts.append("\n}\n")
+    text = "".join(parts)
     with Path(path).open("w") as fh:
         fh.write(text)
-        fh.write("\n")
+
+
+def _record_template(depth: int, dims: int, leaf: bool) -> str:
+    """The ``%`` template of a node record at tree depth ``depth``, laid out
+    as ``json.dumps(indent=2)`` does: a leaf's whole record, or a split's up
+    to the first character of its lower child's record. It takes the lower
+    and upper bounds, then a leaf's count and thetas or a split's dimension
+    and position."""
+    key = "\n" + "  " * (2 + 2 * depth)
+    numbers = "[" + key + "  " + ("," + key + "  ").join(["%r"] * dims) + key + "]"
+    head = "{" + key + '"lower": ' + numbers + "," + key + '"upper": ' + numbers + ","
+    if leaf:
+        return head + key + '"count": %d,' + key + '"theta": ' + numbers + "\n" + "  " * (1 + 2 * depth) + "}"
+    return (head + key + '"split": {' + key + '  "dim": %d,' + key + '  "position": %r' + key + "},"
+            + key + '"children": [' + "\n" + "  " * (3 + 2 * depth))
 
 
 def read_tree(path) -> DetTree:
@@ -179,70 +233,6 @@ def read_tree(path) -> DetTree:
         raise TreeDocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise TreeDocumentError(f"{path}: tree document is nested too deeply") from None
-
-
-def _indented_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` for a nonempty dict of dicts, lists,
-    strings, ints and finite floats, byte for byte. Iterative, so a deep tree
-    needs no recursion: the stack holds finished text and the (container,
-    depth) pairs still to encode."""
-    parts: list[str] = []
-    stack: list = [(doc, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        value, depth = item
-        inner = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
-            parts.append("{")
-            items = [(inner + encode_basestring_ascii(key) + ": ", v) for key, v in value.items()]
-            close = "\n" + "  " * depth + "}"
-        else:
-            parts.append("[")
-            items = [(inner, v) for v in value]
-            close = "\n" + "  " * depth + "]"
-        pending: list = []
-        for prefix, v in items:
-            if pending:
-                prefix = "," + prefix
-            flat = _flat_json(v, depth + 1)
-            if flat is None:
-                pending.append(prefix)
-                pending.append((v, depth + 1))
-            else:
-                pending.append(prefix + flat)
-        pending.append(close)
-        stack.extend(reversed(pending))
-    return "".join(parts)
-
-
-def _flat_json(value, depth: int):
-    """Text of a scalar, an empty container or a list of scalars at
-    ``depth``; None for a container that holds containers."""
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        if any(isinstance(v, (dict, list)) for v in value):
-            return None
-        inner = "\n" + "  " * (depth + 1)
-        return "[" + inner + ("," + inner).join(map(_json_scalar, value)) + "\n" + "  " * depth + "]"
-    if isinstance(value, dict):
-        return None if value else "{}"
-    return _json_scalar(value)
-
-
-def _json_scalar(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"tree documents hold finite floats only, got {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    raise TypeError(f"unexpected {type(value).__name__} in a tree document")
 
 
 def _raise_first_bad_row(path: Path, body: list[list[str]], first_line: int, width: int):

@@ -11,13 +11,17 @@ from scipy.stats import binom
 
 from dettree import (
     BuildConfig,
+    DirichletSpec,
     Ensemble,
     MarginalOrder,
     build_tree,
+    det_density_many,
     estimate_theta,
     leaf_mass,
     marginal_quantile,
     root_cuboid,
+    sample_dirichlet,
+    sample_unconditional,
     validate_tree,
 )
 from dettree.build import MAX_DEPTH_LIMIT, _threshold_pvalue, fit_pvalue
@@ -284,6 +288,42 @@ def build_cases(draw):
     return Ensemble(data), config
 
 
+def _extreme_column(kind: str, rng, n: int) -> np.ndarray:
+    if kind == "near_max":  # a range at the float64 maximum: the box width may overflow
+        return rng.uniform(-1.0, 1.0, n) * np.finfo(np.float64).max
+    if kind == "near_max_positive":  # a finite range whose bounds sit near the float64 maximum
+        return 1e308 + rng.uniform(0.0, 7e307, n)
+    if kind == "subnormal":  # values a few subnormal steps apart
+        return rng.integers(-3, 4, n) * 5e-324
+    if kind == "duplicates":  # a handful of values, each repeated many times
+        return rng.choice(rng.standard_normal(3), n)
+    if kind == "atom":  # one value repeated, plus a few outliers
+        column = np.full(n, 2.5)
+        column[rng.random(n) < 0.05] = rng.standard_normal() * 1e3
+        return column
+    return rng.standard_normal(n)
+
+
+@st.composite
+def extreme_cases(draw):
+    """1-4 dims of data at the ends of the float64 range, at subnormal
+    spacing, with heavy duplicates or atoms, and configs that let the tree
+    grow deep."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["near_max", "near_max_positive", "subnormal", "duplicates", "atom",
+                                           "normal"]), min_size=1, max_size=4))
+    n = draw(st.integers(1, 600))
+    data = np.column_stack([_extreme_column(kind, rng, n) for kind in kinds])
+    config = BuildConfig(
+        order=draw(st.sampled_from(list(MarginalOrder))),
+        alpha=draw(st.sampled_from([0.01, 0.5])),
+        min_leaf_count=draw(st.integers(1, 12)),
+        max_depth=draw(st.sampled_from([5, 40, MAX_DEPTH_LIMIT])),
+        bounds_padding_rel=draw(st.sampled_from([0.0, 1e-9, 0.5])),
+    )
+    return Ensemble(data), config
+
+
 class TestBuildMatchesReference:
     @settings(max_examples=200)
     @given(case=build_cases())
@@ -295,6 +335,49 @@ class TestBuildMatchesReference:
         assert json.dumps(tree_to_document(tree)) == json.dumps(expected)
         validate_tree(tree)
         assert math.fsum(leaf_mass(de, tree.n) for de in tree.iter_leaves()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mixed", "dirichlet"])
+    def test_same_tree_at_benchmark_scale(self, kind):
+        # 50,000 points reach what the small cases cannot: counts handed down
+        # through nodes of 10^4 and more rows, and the normal approximation
+        if kind == "mixed":
+            ens = random_ensemble(5, 50_000, 3)
+        else:
+            ens = Ensemble(sample_dirichlet(DirichletSpec(alpha=np.array([1.25, 2.0, 0.75])), 6, 50_000))
+        tree = build_tree(ens, BuildConfig())
+        assert json.dumps(tree_to_document(tree)) == json.dumps(reference_build_tree(ens, BuildConfig()))
+        splits = np.flatnonzero(tree.split_dim >= 0)
+        below = np.array([_subtree_count(tree, node + 1) for node in splits])
+        above = np.array([_subtree_count(tree, tree.upper_child[node]) for node in splits])
+        # a split below the root of 10^4 or more rows, and one whose smaller child is the upper one
+        assert np.any(below[1:] + above[1:] >= 10_000)
+        assert np.any((above < below) & (above > 0))
+
+
+class TestBuildProperties:
+    """Right on every input: adversarial data either gets a clean ValueError
+    from the builder, or a valid tree whose draws stay in the root box and
+    whose densities there are finite, or the documented overflow error."""
+
+    @settings(max_examples=150)
+    @given(case=extreme_cases())
+    def test_valid_tree_or_clean_error(self, case):
+        ens, config = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                tree = build_tree(ens, config)
+            except ValueError:
+                return
+            validate_tree(tree)
+            draws = sample_unconditional(tree, 17, 200)
+            assert np.all((draws >= tree.lower[0]) & (draws <= tree.upper[0]))
+            try:
+                density = det_density_many(tree, draws)
+            except ValueError as exc:
+                assert "overflows float64" in str(exc)
+            else:
+                assert np.all(np.isfinite(density) & (density >= 0.0))
 
 
 def _depths(tree) -> np.ndarray:

@@ -193,6 +193,21 @@ class TestMarginalQuantile:
             marginal_quantile(theta, -1.0, 4.0, y + 0.5)
 
 
+class TestMarginalThetaDomain:
+    # outside [-1, 1] the density turns negative (1 + 2 * (2 * 0.1 - 1) = -0.6)
+    # and the CDF and quantile leave [0, 1]; NaN is no slope at all
+    @pytest.mark.parametrize("function", [marginal_density, marginal_cdf, marginal_quantile])
+    @pytest.mark.parametrize("theta", [2.0, -1.0000000000000002, np.nan, np.inf, np.array([0.5, 1.5])])
+    def test_theta_outside_unit_interval_rejected(self, function, theta):
+        with pytest.raises(ValueError, match="theta"):
+            function(theta, 0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("function", [marginal_density, marginal_cdf, marginal_quantile])
+    def test_unit_interval_ends_accepted(self, function):
+        values = function(np.array([-1.0, 1.0]), 0.0, 1.0, 0.1)
+        assert np.all(values >= 0.0)
+
+
 class TestElementDensity:
     def test_uniform_unit_square(self):
         assert det_density_many(unit_tree(count=10), [[0.3, 0.7]])[0] == 1.0

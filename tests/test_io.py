@@ -5,11 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from dettree import BuildConfig, Ensemble, MarginalOrder, build_tree, read_csv, read_tree, write_csv, write_tree
+from dettree import (
+    BuildConfig,
+    DetTree,
+    Ensemble,
+    MarginalOrder,
+    build_tree,
+    read_csv,
+    read_tree,
+    write_csv,
+    write_tree,
+)
 from dettree.build import MAX_DEPTH_LIMIT
 from dettree.io import CsvFormatError, TreeDocumentError, document_to_tree, tree_to_document
 
-from conftest import build_random_tree
+from conftest import build_random_tree, leaf_tree
 
 
 class TestReadCsv:
@@ -281,6 +291,40 @@ class TestWriteTreeGolden:
         assert path.read_bytes() == expected
         write_tree(path, read_tree(path))
         assert path.read_bytes() == expected
+
+
+def _split_tree(lower, upper, theta=0.5) -> DetTree:
+    """An unvalidated 1-D tree: the box [lower, upper] cut at lower/2 + upper/2,
+    which is finite even where the midpoint (lower + upper)/2 overflows, into
+    two leaves of one sample each."""
+    cut = lower / 2.0 + upper / 2.0
+    return DetTree(lower=[[lower], [lower], [cut]], upper=[[upper], [cut], [upper]], split_dim=[0, -1, -1],
+                   upper_child=[2, -1, -1], count=[0, 1, 1], theta=[[0.0], [theta], [-0.25]], n=2,
+                   order=MarginalOrder.LINEAR)
+
+
+NON_FINITE_TREES = {  # the constructor checks nothing, so these reach the writer
+    "NaN lower bound": lambda: leaf_tree([np.nan, 0.0], [1.0, 1.0], 3, 3),
+    "infinite upper bound": lambda: leaf_tree([0.0, 0.0], [1.0, np.inf], 3, 3),
+    "NaN theta": lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[np.nan]),
+    "infinite theta": lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[-np.inf]),
+    "NaN theta in a lower leaf": lambda: _split_tree(0.0, 1.0, theta=np.nan),
+    "overflowing split position": lambda: _split_tree(1e308, 1.7e308),
+}
+
+
+class TestWriteTreeRefusesNonFinite:
+    @pytest.mark.parametrize("kind", list(NON_FINITE_TREES))
+    def test_raises_before_opening_the_file(self, tmp_path, kind):
+        path = tmp_path / "tree.json"
+        with pytest.raises(ValueError, match="finite"):
+            write_tree(path, NON_FINITE_TREES[kind]())
+        assert not path.exists()
+
+    def test_finite_split_tree_is_written(self, tmp_path):
+        path = tmp_path / "tree.json"
+        write_tree(path, _split_tree(0.0, 1.0))
+        assert read_tree(path).count.tolist() == [0, 1, 1]
 
 
 def _split_document() -> dict:
