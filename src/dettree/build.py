@@ -19,8 +19,14 @@ dimension, whether each dimension varies, theta per dimension, and from
 these the p-values. What it inherits: a split halves one dimension and
 keeps the others' boxes, and so their cuts, so the children get their
 counts there from the parent; a node counts only the dimension its parent
-split. ``estimate_theta`` and ``fit_pvalue`` state the statistics on a plain
-array of values; ``build_tree`` computes the same bits with fewer passes.
+split. ``estimate_theta`` states theta on a plain array of values;
+``build_tree`` computes the same bits with fewer passes.
+
+The passes that are not statistics are kept short too. The root box takes
+each dimension's extremes from one contiguous row of the (d, n) block the
+build starts from (``root_cuboid``), and the quartile test writes out its
+normal-approximation tails in one function body instead of three Python
+calls per cut.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ __all__ = [
     "BuildConfig",
     "root_cuboid",
     "estimate_theta",
-    "fit_pvalue",
     "build_tree",
 ]
 
@@ -48,6 +53,10 @@ EXACT_BINOMIAL_LIMIT = 30
 # math.comb(m, j) as floats for m up to the limit; each is below 2**53, so
 # exact, and int * float converts the int the same way
 _BINOMIAL = [[float(math.comb(m, j)) for j in range(m + 1)] for m in range(EXACT_BINOMIAL_LIMIT + 1)]
+
+# The normalized cuts of the quartile test, and sqrt(2) for the normal tails.
+_QUARTILES = (0.25, 0.5, 0.75)
+_SQRT2 = math.sqrt(2.0)
 
 # Deepest tree the builder may grow. Tree documents nest one record level
 # per tree level and ``json.load`` recurses twice per record level, so
@@ -108,23 +117,41 @@ class BuildConfig:
             raise ValueError("bounds_padding_rel must be nonnegative")
 
 
-# A range beyond the float64 maximum overflows to inf (and zero padding times
-# inf gives NaN); the width check rejects it, so no numpy warning is raised.
-@np.errstate(over="ignore", invalid="ignore")
 def root_cuboid(ensemble: Ensemble, padding_rel: float) -> tuple[np.ndarray, np.ndarray]:
     """Bounding box ``(lower, upper)`` of the data, each side padded by
     ``padding_rel`` times the per-dimension range. A zero-range dimension is
     padded by ``padding_rel * max(1, |value|)`` so every width is strictly
     positive. Raises ValueError if a bound or a width is not a finite
     float64.
+
+    Each dimension's extremes come from one reduction over its column;
+    ``data.min(axis=0)`` runs an inner loop of length d per row and costs
+    about ten times as much. The values are the same, but where a column
+    mixes 0.0 and -0.0 the two reductions may return different signed
+    zeros. The sign can reach the box only where the pad is 0, so where a
+    zero extreme meets a zero pad the extremes come from
+    ``data.min(axis=0)`` and ``data.max(axis=0)``, and the box keeps the
+    bits that those give.
     """
-    lo = ensemble.data.min(axis=0)
-    hi = ensemble.data.max(axis=0)
+    return _padded_box(ensemble.data, ensemble.data.T, padding_rel)
+
+
+# A range beyond the float64 maximum overflows to inf (and zero padding times
+# inf gives NaN); the width check rejects it, so no numpy warning is raised.
+@np.errstate(over="ignore", invalid="ignore")
+def _padded_box(data: np.ndarray, columns: np.ndarray, padding_rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """``root_cuboid`` of the (n, d) ``data``; ``columns`` is the same data
+    as a (d, n) array, in any memory layout."""
+    lo = np.array([column.min() for column in columns])
+    hi = np.array([column.max() for column in columns])
     span = hi - lo
     degenerate = span == 0.0
     pad = padding_rel * np.where(degenerate, np.maximum(1.0, np.abs(lo)), span)
     if np.any(degenerate) and padding_rel == 0.0:
         raise ValueError("degenerate data range needs a positive bounds padding")
+    # neither the span nor the pad depends on the sign of a zero extreme
+    if np.any((pad == 0.0) & ((lo == 0.0) | (hi == 0.0))):
+        lo, hi = data.min(axis=0), data.max(axis=0)
     lower = lo - pad
     upper = hi + pad
     # Guard against padding that vanishes in rounding on a degenerate range.
@@ -147,34 +174,6 @@ def estimate_theta(values: np.ndarray, lo: float, hi: float) -> float:
     t = (values - lo) / (hi - lo)
     theta = 6.0 * (float(t.mean()) - 0.5)
     return min(max(theta, -1.0), 1.0)
-
-
-def fit_pvalue(values: np.ndarray, lo: float, hi: float, theta: float) -> float:
-    """Per-dimension goodness-of-fit p-value used by the builder: binomial
-    threshold tests at the normalized quartile points 1/4, 1/2, 3/4,
-    Bonferroni-combined (so the false-split rate stays below alpha). Strictly
-    more sensitive than the half-mass test alone.
-    """
-    ps = (
-        _threshold_pvalue(values, lo, hi, theta, 0.25),
-        _threshold_pvalue(values, lo, hi, theta, 0.5),
-        _threshold_pvalue(values, lo, hi, theta, 0.75),
-    )
-    return min(1.0, 3.0 * min(ps))
-
-
-def _threshold_pvalue(values: np.ndarray, lo: float, hi: float, theta: float, t: float) -> float:
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("need at least one value")
-    # the midpoint form must match the split-assignment arithmetic exactly
-    cut = (lo + hi) / 2.0 if t == 0.5 else lo + t * (hi - lo)
-    k = int(np.count_nonzero(values < cut))
-    m = int(values.size)
-    p0 = t * (1.0 + theta * (t - 1.0))  # fitted marginal's mass below t
-    if m <= EXACT_BINOMIAL_LIMIT:
-        return _binomial_two_sided_exact(k, m, p0)
-    return _binomial_two_sided_normal(k, m, p0)
 
 
 def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
@@ -211,11 +210,13 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
     """
     d = ensemble.dims
     linear = config.order is MarginalOrder.LINEAR
-    root_lower, root_upper = root_cuboid(ensemble, config.bounds_padding_rel)
+    root = np.ascontiguousarray(ensemble.data.T)
+    root_lower, root_upper = _padded_box(ensemble.data, root, config.bounds_padding_rel)
     nodes, upper_child = [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
     # pending nodes: (column block, lower, upper, depth, id of the parent whose upper child it is,
     # per dimension the quartile counts handed down, None where the node counts them itself)
-    stack = [(np.ascontiguousarray(ensemble.data.T), root_lower.tolist(), root_upper.tolist(), 0, -1, [None] * d)]
+    stack = [(root, root_lower.tolist(), root_upper.tolist(), 0, -1, [None] * d)]
+    del root  # the stack holds the only reference, so the root split frees the block
     while stack:
         cols, lower, upper, depth, parent, counts = stack.pop()
         if parent >= 0:
@@ -264,8 +265,9 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
 
 
 def _quartile_counts(row: np.ndarray, lo: float, hi: float) -> tuple[tuple[int, int, int], np.ndarray]:
-    """The counts of ``row`` below the cuts that ``_threshold_pvalue`` makes
-    at 1/4, 1/2 and 3/4 of [lo, hi], and the mask below the midpoint."""
+    """The counts of ``row`` below the cuts at 1/4, 1/2 and 3/4 of [lo, hi],
+    and the mask below the midpoint. The midpoint cut is ``(lo + hi) / 2``,
+    the split position, so the mask partitions a split node."""
     mid = row < (lo + hi) / 2.0
     counts = (int(np.count_nonzero(row < lo + 0.25 * (hi - lo))), int(np.count_nonzero(mid)),
               int(np.count_nonzero(row < lo + 0.75 * (hi - lo))))
@@ -273,9 +275,23 @@ def _quartile_counts(row: np.ndarray, lo: float, hi: float) -> tuple[tuple[int, 
 
 
 def _quartile_pvalue(counts: tuple[int, int, int], m: int, theta: float) -> float:
-    """``fit_pvalue`` of m values with these quartile counts."""
-    test = _binomial_two_sided_exact if m <= EXACT_BINOMIAL_LIMIT else _binomial_two_sided_normal
-    return min(1.0, 3.0 * min(test(k, m, t * (1.0 + theta * (t - 1.0))) for k, t in zip(counts, (0.25, 0.5, 0.75))))
+    """The quartile test's p-value for m values with these counts below the
+    cuts, Bonferroni-combined over the three cuts. Above
+    ``EXACT_BINOMIAL_LIMIT`` each cut's two-sided tail is the normal
+    approximation with continuity correction, written out here with the
+    float operations of ``0.5 * erfc(-z / sqrt(2))`` in their order."""
+    if m <= EXACT_BINOMIAL_LIMIT:
+        return min(1.0, 3.0 * min(_binomial_two_sided_exact(k, m, t * (1.0 + theta * (t - 1.0)))
+                                  for k, t in zip(counts, _QUARTILES)))
+    least = math.inf
+    for k, t in zip(counts, _QUARTILES):
+        p0 = t * (1.0 + theta * (t - 1.0))  # the fitted marginal's mass below t
+        mean = m * p0
+        sd = math.sqrt(m * p0 * (1.0 - p0))
+        lower = 0.5 * math.erfc(-((k + 0.5 - mean) / sd) / _SQRT2)
+        upper = 0.5 * math.erfc(-(-(k - 0.5 - mean) / sd) / _SQRT2)
+        least = min(least, min(1.0, 2.0 * min(lower, upper)))
+    return min(1.0, 3.0 * least)
 
 
 def _theta(row: np.ndarray, lo: float, hi: float) -> float:
@@ -292,15 +308,3 @@ def _binomial_two_sided_exact(k: int, m: int, p0: float) -> float:
     lower = sum(pmf[: k + 1])
     upper = sum(pmf[k:])
     return min(1.0, 2.0 * min(lower, upper))
-
-
-def _binomial_two_sided_normal(k: int, m: int, p0: float) -> float:
-    mean = m * p0
-    sd = math.sqrt(m * p0 * (1.0 - p0))
-    lower = _norm_cdf((k + 0.5 - mean) / sd)
-    upper = _norm_cdf(-(k - 0.5 - mean) / sd)
-    return min(1.0, 2.0 * min(lower, upper))
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))

@@ -21,6 +21,17 @@ into the output. The generator fills arrays in C order, so the blocks
 consume the stream in the same order as one whole-array draw and the output
 does not depend on the block size. A draw of ``count`` points holds the
 output plus O(block) temporaries.
+
+A leaf is picked by a guide table (Chen's indexed search): once per call,
+the cumulative leaf weights are searched at G + 1 evenly spaced fractions
+j/G of their total, G a power of two up to the draw count and at most
+4,096, so the table takes at most 64 KB. A uniform u lies in cell
+j = floor(u * G), which is exact for a power of two, between the fractions
+j/G and (j+1)/G; rounding u * total is monotone, so the cumulative search
+at u * total returns an index between the table's entries at j and j + 1.
+Where the two are equal, that entry is the answer and no search runs; only
+the other keys are searched. The picked leaves are those of the plain
+search, so the output does not depend on G.
 """
 
 from __future__ import annotations
@@ -41,6 +52,9 @@ __all__ = [
     "sample_conditional",
 ]
 
+# Most cells a guide table has: its bounds and indices take at most 64 KB.
+_GUIDE_CELLS = 4096
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -52,10 +66,7 @@ class Condition:
     entries: tuple[tuple[int, float], ...]
 
     def __init__(self, entries: Union[Mapping[int, float], Iterable[tuple[int, float]]] = ()):
-        if isinstance(entries, Mapping):
-            pairs = list(entries.items())
-        else:
-            pairs = [(int(d), float(v)) for d, v in entries]
+        pairs = [_checked_entry(entry) for entry in (entries.items() if isinstance(entries, Mapping) else entries)]
         dims = [d for d, _ in pairs]
         if len(set(dims)) != len(dims):
             raise ValueError("conditioned dimensions must be pairwise distinct")
@@ -63,7 +74,7 @@ class Condition:
             raise ValueError("dimension indices must be nonnegative")
         if any(not np.isfinite(v) for _, v in pairs):
             raise ValueError("conditioning values must be finite")
-        object.__setattr__(self, "entries", tuple(sorted((int(d), float(v)) for d, v in pairs)))
+        object.__setattr__(self, "entries", tuple(sorted(pairs)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -79,6 +90,24 @@ class Condition:
     def free_dims(self, d: int) -> tuple[int, ...]:
         fixed = set(self.dims)
         return tuple(i for i in range(d) if i not in fixed)
+
+
+def _checked_entry(entry) -> tuple[int, float]:
+    """A (dim, value) pair as (int, float). The dimension must be an integer
+    and the value a real number; neither may be a bool or a string, which
+    int() and float() would otherwise parse."""
+    try:
+        dim, value = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"condition entry {entry!r} is not a (dimension, value) pair") from None
+    if isinstance(dim, (bool, np.bool_)) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"condition entry {entry!r}: the dimension must be an integer")
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"condition entry {entry!r}: the value must be a real number")
+    try:
+        return int(dim), float(value)
+    except OverflowError:
+        raise ValueError(f"condition entry {entry!r}: the value must be finite") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,20 +132,35 @@ def categorical_pick(weights, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("u must lie in [0, 1)")
-    return _pick(*_cumulative(np.asarray(weights, dtype=np.float64)), u)
+    idx = _pick(*_cumulative(np.asarray(weights, dtype=np.float64), u.size), u.reshape(-1))
+    return idx.reshape(u.shape)[()]  # a scalar for a 0-d u, as from searchsorted
 
 
-def _cumulative(weights: np.ndarray) -> tuple[np.ndarray, int]:
-    """Checked cumulative weights and the index of the last nonzero weight."""
+def _cumulative(weights: np.ndarray, draws: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Checked cumulative weights, the index of the last nonzero weight and
+    the guide table for ``draws`` picks: the number of cells G is the largest
+    power of two up to ``draws``, at most ``_GUIDE_CELLS``, and cell j holds
+    the index that the cumulative search returns for every key of
+    [j/G, (j+1)/G), or -1 where the keys of that cell may get different
+    indices."""
     cum = np.cumsum(weights)
     if cum.size == 0 or cum[-1] <= 0.0 or np.any(weights < 0.0):
         raise ValueError("weights must be nonnegative with a positive sum")
-    return cum, np.flatnonzero(weights > 0.0)[-1]
+    cells = 1 << (min(max(draws, 1), _GUIDE_CELLS).bit_length() - 1)
+    bounds = np.arange(cells + 1, dtype=np.float64)
+    bounds /= cells
+    bounds *= cum[-1]
+    guide = np.searchsorted(cum, bounds, side="right")
+    guide = np.where(guide[:-1] == guide[1:], guide[:-1], -1)
+    return cum, np.flatnonzero(weights > 0.0)[-1], guide
 
 
-def _pick(cum: np.ndarray, last: int, u: np.ndarray) -> np.ndarray:
-    # categorical_pick without the per-draw check of u, for generator output
-    idx = np.searchsorted(cum, u * cum[-1], side="right")
+def _pick(cum: np.ndarray, last: int, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # categorical_pick without the per-draw check of u, for generator output;
+    # u * G is exact for a power of two G and its floor is the key's cell
+    idx = guide.take((u * guide.size).astype(np.intp))
+    open_cells = np.flatnonzero(idx < 0)
+    idx[open_cells] = np.searchsorted(cum, u.take(open_cells) * cum[-1], side="right")
     # a subnormal total can make u * total round to the total: the last nonempty interval
     return np.minimum(idx, last)
 
@@ -186,7 +230,7 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     rng = np.random.default_rng(seed)
     if count == 0:
         return np.empty((0, d))
-    cum, last = _cumulative(leaf_set.weights)
+    cum, last, guide = _cumulative(leaf_set.weights, count)
     # ids of the (leaf, free dimension) pairs in the flattened coefficient
     # planes; the generator keeps every uniform in [0, 1)
     coefficients = tree._tables.quantile
@@ -198,7 +242,7 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
         # one row per sample: leaf draw first, then one draw per free
         # dimension in ascending order (C-order fill matches sequential consumption)
         u = rng.random((stop - start, 1 + free.size))
-        coef = planes.take(pairs.take(_pick(cum, last, u[:, 0]), axis=0), axis=1)
+        coef = planes.take(pairs.take(_pick(cum, last, guide, u[:, 0]), axis=0), axis=1)
         # unconditional blocks map in place in the output, conditional ones
         # in a contiguous buffer that is then scattered to the free columns
         y = np.empty((stop - start, free.size)) if cond.entries else out[start:stop]

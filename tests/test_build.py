@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,10 +25,10 @@ from dettree import (
     sample_unconditional,
     validate_tree,
 )
-from dettree.build import MAX_DEPTH_LIMIT, _threshold_pvalue, fit_pvalue
+from dettree.build import EXACT_BINOMIAL_LIMIT, MAX_DEPTH_LIMIT, _quartile_pvalue
 from dettree.io import tree_to_document
 
-from conftest import leaf_at, leaf_ids, random_ensemble, reference_build_tree
+from conftest import _threshold_pvalue, fit_pvalue, leaf_at, leaf_ids, random_ensemble, reference_build_tree
 
 
 def split_pvalue(values, lo, hi, theta):
@@ -80,6 +81,55 @@ class TestRootCuboid:
             assert lower[i] == pytest.approx(lo - 0.01 * (hi - lo))
             assert upper[i] == pytest.approx(hi + 0.01 * (hi - lo))
             assert upper[i] - lower[i] == pytest.approx(1.02 * (hi - lo))
+
+    @staticmethod
+    def expected_box(data: np.ndarray, padding: float) -> tuple[np.ndarray, np.ndarray]:
+        """The box from ``data.min(axis=0)`` and ``data.max(axis=0)``,
+        padded by the rule in ``root_cuboid``."""
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        span = hi - lo
+        pad = padding * np.where(span == 0.0, np.maximum(1.0, np.abs(lo)), span)
+        lower, upper = lo - pad, hi + pad
+        bad = ~(lower < upper)
+        return np.where(bad, np.nextafter(lo, -np.inf), lower), np.where(bad, np.nextafter(hi, np.inf), upper)
+
+    def assert_box_bits(self, data, padding):
+        ens = Ensemble(data)
+        lower, upper = self.expected_box(ens.data, padding)
+        tree = build_tree(ens, BuildConfig(bounds_padding_rel=padding))
+        for got_lower, got_upper in (root_cuboid(ens, padding), (tree.lower[0], tree.upper[0])):
+            assert got_lower.tobytes() == lower.tobytes()
+            assert got_upper.tobytes() == upper.tobytes()
+
+    @pytest.mark.parametrize("padding", [0.0, 1e-9, 1e-320])
+    def test_signed_zeros_keep_their_bits(self, padding):
+        # columns opening with 0.0 and -0.0 in both orders, the zero at either
+        # extreme; at padding 1e-320 the pad of the 1e-10 ranges underflows to 0
+        columns = [first + [other] * 10 for first in ([0.0, -0.0], [-0.0, 0.0])
+                   for other in (1.0, -1.0, 1e-10, -1e-10)]
+        self.assert_box_bits(np.array(columns).T, padding)
+
+    @settings(max_examples=200)
+    @given(signs=st.lists(st.lists(st.booleans(), min_size=1, max_size=40), min_size=1, max_size=4),
+           other=st.sampled_from([0.0, 1.0, -1.0, 1e-300]), padding=st.sampled_from([0.0, 1e-9]))
+    def test_random_signed_zero_columns(self, signs, other, padding):
+        n = max(len(column) for column in signs) + 1
+        data = np.full((n, len(signs)), other)
+        for i, column in enumerate(signs):
+            data[:len(column), i] = np.where(column, 0.0, -0.0)
+        if padding == 0.0 and np.any(data.min(axis=0) == data.max(axis=0)):
+            return  # a degenerate column needs a positive padding
+        self.assert_box_bits(data, padding)
+
+    @pytest.mark.parametrize("padding", [1e-9, 0.5])
+    def test_single_row(self, padding):
+        self.assert_box_bits(np.array([[0.0, -0.0, 3.5, -1e300, 5e-324]]), padding)
+
+    @pytest.mark.parametrize("padding", [0.0, 1e-9])
+    def test_ranges_near_the_float64_limit(self, padding):
+        data = np.array([[-8e307, 1e308, -1.7e308, 0.0], [8e307, 1.5e308, -1e308, -0.0],
+                         [0.0, 1.2e308, -1.2e308, 1e308]])
+        self.assert_box_bits(data, padding)
 
 
 class TestEstimateTheta:
@@ -137,6 +187,16 @@ class TestSplitPvalue:
             combined = fit_pvalue(values, 0.0, 1.0, theta)
             assert 0.0 <= combined <= 1.0
             assert combined <= 3.0 * split_pvalue(values, 0.0, 1.0, theta) + 1e-15
+
+    @settings(max_examples=300)
+    @given(m=st.one_of(st.integers(1, 2 * EXACT_BINOMIAL_LIMIT), st.integers(1, 10**5)),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           theta=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)))
+    def test_quartile_pvalue_equals_fit_pvalue(self, m, cuts, theta):
+        counts = tuple(sorted(int(c * m) for c in cuts))
+        # values that realise the counts below the cuts at 1/4, 1/2 and 3/4 of [0, 1]
+        values = np.repeat([0.1, 0.3, 0.6, 0.9], np.diff((0,) + counts + (m,)))
+        assert _quartile_pvalue(counts, m, theta) == fit_pvalue(values, 0.0, 1.0, theta)
 
 
 class TestBuildTree:
@@ -249,6 +309,18 @@ class TestBuildTree:
         tree = build_tree(ens, BuildConfig(order=MarginalOrder.CONSTANT))
         assert tree.order is MarginalOrder.CONSTANT
         assert np.all(tree.theta == 0.0)
+
+    def test_peak_memory_is_two_copies_of_the_data(self):
+        # besides the ensemble, the column blocks hold one copy of the data, two
+        # while the root splits, and a block is freed once its node is split
+        ens = random_ensemble(72, 200_000, 3)
+        tracemalloc.start()
+        try:
+            build_tree(ens, BuildConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * ens.data.nbytes  # the rest: the root's midpoint masks
 
 
 def _column(kind: str, rng, n: int) -> np.ndarray:

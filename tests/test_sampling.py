@@ -20,6 +20,7 @@ from dettree import (
     validate_tree,
 )
 from dettree.core import _BLOCK_ROWS
+from dettree.sampling import _GUIDE_CELLS, _cumulative, _pick
 
 from conftest import (
     assert_search_matches_oracles,
@@ -91,6 +92,68 @@ class TestCategoricalPick:
         assert np.all(np.abs(freq - weights) < 0.002)
         # left-closed cumulative intervals, checked at their edges
         assert categorical_pick(weights, [0.0, 0.2, 0.5, 0.4999]).tolist() == [0, 1, 2, 1]
+
+    def test_keeps_the_shape_of_u(self):
+        weights = [1.0, 0.0, 3.0]
+        assert categorical_pick(weights, np.full((2, 3), 0.5)).tolist() == [[2, 2, 2], [2, 2, 2]]
+        assert categorical_pick(weights, 0.1).shape == ()
+
+
+# weights of a guided pick: runs of zeros, subnormals, and 1e-300 up to 1
+_PICK_WEIGHT = st.one_of(st.just(0.0), st.just(5e-324), st.floats(5e-324, 1e-300), st.floats(1e-300, 1.0))
+_LAST_U = 1.0 - 2.0**-53
+
+
+class TestGuidedPick:
+    """The guide-table pick must return the index of the plain cumulative
+    search for every key, whatever the table's number of cells."""
+
+    @staticmethod
+    def assert_matches_search(weights, u, draws):
+        weights, u = np.asarray(weights, dtype=np.float64), np.asarray(u, dtype=np.float64)
+        cum, last, guide = _cumulative(weights, draws)
+        expected = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), np.flatnonzero(weights > 0.0)[-1])
+        assert np.array_equal(_pick(cum, last, guide, u), expected)
+
+    @staticmethod
+    def keys(cells: int, rng) -> np.ndarray:
+        """Random keys, 0, the largest double below 1, and each cell's edges."""
+        edges = np.arange(cells + 1) / cells
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        keys = np.concatenate([rng.random(500), [0.0, _LAST_U], near])
+        return keys[(keys >= 0.0) & (keys < 1.0)]
+
+    @pytest.mark.parametrize("exponent", range(13))
+    def test_every_table_size(self, exponent):
+        cells = 2**exponent
+        rng = np.random.default_rng(exponent)
+        weights = rng.random(1000) * (rng.random(1000) < 0.7)
+        weights[100:300] = 0.0  # a run of empty intervals
+        for draws in (cells, 2 * cells - 1):
+            self.assert_matches_search(weights, self.keys(cells, rng), draws)
+        assert _cumulative(weights, cells)[2].size == min(cells, _GUIDE_CELLS)
+
+    def test_table_size_is_capped(self):
+        assert _cumulative(np.ones(3), 10**6)[2].size == _GUIDE_CELLS
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-320, 1e-300, 1.0, 1e300])
+    def test_single_nonzero_weight(self, scale):
+        weights = np.zeros(50)
+        weights[17] = scale
+        for cells in (1, 64, _GUIDE_CELLS):
+            self.assert_matches_search(weights, self.keys(cells, np.random.default_rng(cells)), cells)
+
+    def test_subnormal_total(self):
+        weights = np.array([2.0, 0.0, 1.0, 0.0, 3.0, 0.0]) * 5e-324
+        for cells in (1, 2, 8, _GUIDE_CELLS):
+            self.assert_matches_search(weights, self.keys(cells, np.random.default_rng(cells)), cells)
+
+    @settings(max_examples=300)
+    @given(weights=st.lists(_PICK_WEIGHT, min_size=1, max_size=200).filter(lambda w: sum(w) > 0.0),
+           exponent=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_cumulative_search(self, weights, exponent, seed):
+        cells = 2**exponent
+        self.assert_matches_search(weights, self.keys(cells, np.random.default_rng(seed)), cells)
 
 
 class TestSampleUnconditional:
@@ -408,3 +471,18 @@ class TestCondition:
 
     def test_free_dims(self):
         assert Condition([(1, 0.0)]).free_dims(3) == (0, 2)
+
+    @pytest.mark.parametrize("entries", [
+        [(1.7, 0.5)], [(True, 0.5)], {1.9: 0.5}, [("1", 0.5)], {"a": 0.5}, [(np.float64(1.0), 0.5)],
+        [(1, "0.5")], {1: "0.5"}, [(1, True)], [(1, np.bool_(False))], [(1, 1 + 2j)], [(1, None)],
+        [(1, 10**400)], [(1,)], [1],
+    ])
+    def test_malformed_entries_rejected(self, entries):
+        with pytest.raises(ValueError, match="condition entry"):
+            Condition(entries)
+
+    def test_integer_and_real_entries_accepted(self):
+        cond = Condition([(np.int32(2), np.float32(0.5)), (0, 3), (np.int64(1), np.float64(-1.25))])
+        assert cond.entries == ((0, 3.0), (1, -1.25), (2, 0.5))
+        assert all(type(d) is int and type(v) is float for d, v in cond.entries)
+        assert Condition({1: 2}).entries == ((1, 2.0),)
