@@ -10,26 +10,25 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .build import BuildConfig, build_tree
-from .core import MarginalOrder, det_density_many
-from .io import read_csv, read_tree, write_csv, write_tree
-from .reference import (
-    DirichletSpec,
-    GaussianSpec,
-    dirichlet_marginal_cdf,
-    dirichlet_pdf,
-    gaussian_pdf,
-    sample_dirichlet,
-    sample_gaussian,
-)
-from .sampling import Condition, sample_conditional, sample_unconditional
-from .validation import grid_ise, ks_test, sample_moments
+# The library names the handlers call, by defining module. Each handler
+# binds the names of the modules it runs with _load, so a command imports
+# only those: build and density never load reference, validation or scipy.
+_LIBRARY = {
+    "build": ("BuildConfig", "build_tree"),
+    "core": ("MarginalOrder", "det_density_many"),
+    "io": ("read_csv", "read_tree", "write_csv", "write_tree"),
+    "reference": ("DirichletSpec", "GaussianSpec", "dirichlet_marginal_cdf", "dirichlet_pdf", "gaussian_pdf",
+                  "sample_dirichlet", "sample_gaussian"),
+    "sampling": ("Condition", "sample_conditional", "sample_unconditional"),
+    "validation": ("grid_ise", "ks_test", "sample_moments"),
+}
 
 __all__ = ["main", "UsageError"]
 
@@ -53,9 +52,26 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:  # data errors, including unwritable outputs
+    except (ValueError, OSError, MemoryError) as exc:  # data errors, unwritable outputs, impossible sizes
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _load(*modules: str) -> None:
+    """Bind the library names of ``modules`` here, keeping a binding that is
+    already made (a caller may have put a wrapper in a name's place)."""
+    for module in modules:
+        library = importlib.import_module(f".{module}", __package__)
+        for name in _LIBRARY[module]:
+            globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):  # a library name read from outside before any handler ran
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _run(argv: list[str]) -> int:
@@ -130,6 +146,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_build(args) -> int:
+    _load("build", "core", "io")
     config = BuildConfig(
         order=MarginalOrder(args.order),
         alpha=args.alpha,
@@ -144,6 +161,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _load("io", "sampling")
     tree = read_tree(_existing(args.tree))
     cond = _parse_conditions(args.cond, tree.dims)
     points = sample_conditional(tree, cond, args.seed, _nonneg(args.n))
@@ -152,6 +170,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    _load("core", "io", "sampling")
     tree = read_tree(_existing(args.tree))
     specs = _parse_grid(args.grid, tree.dims)
     fixed = _parse_conditions(args.fix, tree.dims)
@@ -176,6 +195,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_gen_gaussian(args) -> int:
+    _load("io", "reference")
     spec = GaussianSpec(mu=_parse_vector(args.mu, "--mu"), cov=_parse_matrix(args.cov, "--cov"))
     points = sample_gaussian(spec, args.seed, _nonneg(args.n))
     write_csv(args.out, points, [f"x{i + 1}" for i in range(spec.dims)])
@@ -183,6 +203,7 @@ def _cmd_gen_gaussian(args) -> int:
 
 
 def _cmd_gen_dirichlet(args) -> int:
+    _load("io", "reference")
     spec = DirichletSpec(alpha=_parse_vector(args.alpha, "--alpha"))
     points = sample_dirichlet(spec, args.seed, _nonneg(args.n))
     write_csv(args.out, points, ["x1", "x2"])
@@ -190,6 +211,7 @@ def _cmd_gen_dirichlet(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    _load("core", "io", "reference", "sampling", "validation")
     tree = read_tree(_existing(args.tree))
     params = _parse_params(args.params)
     if args.against == "gaussian":

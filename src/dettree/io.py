@@ -2,8 +2,10 @@
 
 Reals are serialized with Python's shortest round-trip repr, so a document
 (or CSV) parses back to bit-identical floats and re-serializes to identical
-bytes. Tree documents are read with strict JSON types and validated on load
-against the same invariants the builder guarantees.
+bytes. A CSV is read as a stream: ``csv.reader`` rows go through ``float``
+straight into the output array, so reading holds the output plus one row,
+never the file's rows. Tree documents are read with strict JSON types and
+validated on load against the same invariants the builder guarantees.
 """
 
 from __future__ import annotations
@@ -54,34 +56,22 @@ def read_csv(path) -> Ensemble:
     header row (detected by any non-numeric field in row one), decimal-point
     reals. A UTF-8 byte-order mark is skipped. Errors name the offending
     1-based row.
+
+    The rows stream from ``csv.reader`` through ``float`` into one array,
+    so the call holds its output plus one row; the array grows by half again
+    at a time and is trimmed at the end. Only a malformed file is read a
+    second time, to name its first bad row.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or all(len(r) == 0 for r in rows):
-        raise CsvFormatError(f"{path}: file is empty")
-
-    first = rows[0]
-    names = None
-    body_start = 0
-    if _parse_row(first) is None:
-        names = tuple(field.strip() for field in first)
-        body_start = 1
-    body = rows[body_start:]
-    if not body:
-        raise CsvFormatError(f"{path}: no data rows after the header")
-
-    width = len(first)
-    data = None
-    if not any(len(r) != width for r in body):
+        names, body, width = _split_header(csv.reader(fh))
         try:
-            data = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=np.float64,
-                               count=len(body) * width)
-        except ValueError:
-            pass
-    if data is None or not np.isfinite(data).all():
-        _raise_first_bad_row(path, body, body_start + 1, width)
-    return Ensemble(data=data.reshape(len(body), width), column_names=names or ())
+            data = np.fromiter(map(float, _fields(body, width)), dtype=np.float64)
+        except ValueError:  # a ragged or non-numeric row, or undecodable text
+            data = None
+    if data is None or data.size == 0 or not np.isfinite(data).all():
+        _raise_first_bad_row(path)
+    return Ensemble(data=data.reshape(-1, width), column_names=names or ())
 
 
 def write_csv(path, points: np.ndarray, column_names: Sequence[str]) -> None:
@@ -235,16 +225,55 @@ def read_tree(path) -> DetTree:
         raise TreeDocumentError(f"{path}: tree document is nested too deeply") from None
 
 
-def _raise_first_bad_row(path: Path, body: list[list[str]], first_line: int, width: int):
-    for line_no, row in enumerate(body, start=first_line):
+def _split_header(rows):
+    """The column names (None without a header row), the data rows and the
+    width of row one, from a fresh ``csv.reader``. An empty file reads as
+    one empty row."""
+    first = next(rows, [])
+    if _parse_row(first) is None:
+        return tuple(field.strip() for field in first), rows, len(first)
+    return None, itertools.chain([first], rows), len(first)
+
+
+def _fields(rows, width: int):
+    """The fields of ``rows`` in order, one row held at a time; ValueError at
+    the first row that is not ``width`` fields wide."""
+    for row in rows:
         if len(row) != width:
-            raise CsvFormatError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
-        values = _parse_row(row)
-        if values is None:
-            raise CsvFormatError(f"{path}: row {line_no} contains a non-numeric field")
-        if not all(np.isfinite(values)):
-            raise CsvFormatError(f"{path}: row {line_no} contains a non-finite value")
-    raise AssertionError("the whole-array parse failed but no row is malformed")
+            raise ValueError("ragged row")
+        yield from row
+
+
+def _raise_first_bad_row(path: Path):
+    """Read the file anew and raise the CsvFormatError of its first malformed
+    row, or of an empty file or a header without rows. Every row is read
+    first, so a decoding or csv error anywhere in the file is raised instead,
+    as when the whole file was read before parsing."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        names, body, width = _split_header(csv.reader(fh))
+        first_line = 1 if names is None else 2
+        message, line_no = None, first_line - 1
+        for line_no, row in enumerate(body, start=first_line):
+            if message is None and (error := _row_error(row, width)) is not None:
+                message = f"row {line_no} {error}"
+    if message is None and line_no < first_line:
+        message = "no data rows after the header"
+    if message is None and width == 0:
+        message = "file is empty"
+    if message is None:
+        raise AssertionError("the whole-file parse failed but no row is malformed")
+    raise CsvFormatError(f"{path}: {message}")
+
+
+def _row_error(row: list[str], width: int):
+    if len(row) != width:
+        return f"has {len(row)} fields, expected {width}"
+    values = _parse_row(row)
+    if values is None:
+        return "contains a non-numeric field"
+    if not all(np.isfinite(values)):
+        return "contains a non-finite value"
+    return None
 
 
 def _parse_row(row: list[str]):

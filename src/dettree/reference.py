@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sampling import Condition
+if TYPE_CHECKING:  # an annotation only: generating reference data loads no sampler
+    from .sampling import Condition
 
 __all__ = [
     "GaussianSpec",

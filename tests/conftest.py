@@ -1,4 +1,7 @@
+import csv
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from dettree import (
 )
 from dettree.build import EXACT_BINOMIAL_LIMIT, _binomial_two_sided_exact
 from dettree.core import THETA_TINY
-from dettree.io import FORMAT_VERSION
+from dettree.io import FORMAT_VERSION, CsvFormatError
 
 # Run time varies by up to 2x on shared CI machines, so examples get no deadline.
 settings.register_profile("dettree", deadline=None)
@@ -306,3 +309,56 @@ def _binomial_two_sided_normal(k: int, m: int, p0: float) -> float:
 
 def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def reference_read_csv(path) -> Ensemble:
+    """The list-based reader ``read_csv`` replaced: the whole file as a list
+    of rows, then one whole-array parse and a row scan on failure. Kept
+    unchanged as the oracle of the streaming reader's bits, names and
+    messages."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or all(len(r) == 0 for r in rows):
+        raise CsvFormatError(f"{path}: file is empty")
+
+    first = rows[0]
+    names = None
+    body_start = 0
+    if _reference_parse_row(first) is None:
+        names = tuple(field.strip() for field in first)
+        body_start = 1
+    body = rows[body_start:]
+    if not body:
+        raise CsvFormatError(f"{path}: no data rows after the header")
+
+    width = len(first)
+    data = None
+    if not any(len(r) != width for r in body):
+        try:
+            data = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=np.float64,
+                               count=len(body) * width)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        _reference_raise_first_bad_row(path, body, body_start + 1, width)
+    return Ensemble(data=data.reshape(len(body), width), column_names=names or ())
+
+
+def _reference_raise_first_bad_row(path: Path, body: list[list[str]], first_line: int, width: int):
+    for line_no, row in enumerate(body, start=first_line):
+        if len(row) != width:
+            raise CsvFormatError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
+        values = _reference_parse_row(row)
+        if values is None:
+            raise CsvFormatError(f"{path}: row {line_no} contains a non-numeric field")
+        if not all(np.isfinite(values)):
+            raise CsvFormatError(f"{path}: row {line_no} contains a non-finite value")
+    raise AssertionError("the whole-array parse failed but no row is malformed")
+
+
+def _reference_parse_row(row: list[str]):
+    try:
+        return [float(field) for field in row]
+    except ValueError:
+        return None

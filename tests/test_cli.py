@@ -56,6 +56,27 @@ class TestGen:
                    "--out", str(tmp_path / "x.csv")) == 1
 
 
+# 10^14 rows of 3 float64 are 2.1 PiB, beyond the 128 TiB user address space:
+# the allocation is refused at once and no memory is touched
+IMPOSSIBLE_N = "100000000000000"
+
+
+class TestImpossibleCount:
+    def test_gen_exits_2_without_traceback(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        code = run("gen", "gaussian", "--mu", "0,0,0", "--cov", REF_COV_FLAG, "--n", IMPOSSIBLE_N,
+                   "--out", str(out))
+        assert code == 2
+        assert _error_lines(capsys) == 1
+        assert not out.exists()
+
+    def test_sample_exits_2_without_traceback(self, tmp_path, tree_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sample", "--tree", str(tree_path), "--n", IMPOSSIBLE_N, "--out", str(out)) == 2
+        assert _error_lines(capsys) == 1
+        assert not out.exists()
+
+
 class TestBuild:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run("build", "--in", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "t.json")) == 1

@@ -1,6 +1,7 @@
 """Export drift: every exported name resolves, and the README's Library
 example uses only names the package exports and runs as written."""
 
+import ast
 import importlib
 import os
 import re
@@ -47,15 +48,36 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     assert dettree.read_tree(tmp_path / "tree.json").n == 2000
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter: this one has scipy loaded already by other tests
-    code = ("import sys, dettree, dettree.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+def _fresh_interpreter(code: str, cwd=None) -> str:
+    """What ``code`` prints in a fresh interpreter: this one has every module
+    loaded already by other tests."""
     src = str(Path(dettree.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                          cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] in ('dettree', 'scipy'))"
+
+
+def test_import_loads_no_scipy():
+    # import dettree loads no submodule; import dettree.cli loads no library module
+    assert _fresh_interpreter(f"import sys, dettree; print({LOADED})") == "['dettree']"
+    assert _fresh_interpreter(f"import sys, dettree.cli; print({LOADED})") == "['dettree', 'dettree.cli']"
+
+
+def test_build_and_density_load_no_reference_validation_or_scipy(tmp_path):
+    rng = np.random.default_rng(8)
+    dettree.write_csv(tmp_path / "data.csv", rng.standard_normal((500, 2)), ["x1", "x2"])
+    code = ("import sys; from dettree.cli import main; "
+            "assert main(['build', '--in', 'data.csv', '--out', 'tree.json']) == 0; "
+            "assert main(['density', '--tree', 'tree.json', '--grid', '1:-1:1:5', '--fix', '2=0', "
+            f"'--out', 'slice.csv']) == 0; print({LOADED})")
+    loaded = ast.literal_eval(_fresh_interpreter(code, cwd=tmp_path))
+    assert not [m for m in loaded if m in ("dettree.reference", "dettree.validation") or m.startswith("scipy")]
+    assert "dettree.io" in loaded  # the commands did run in that interpreter
 
 
 def test_scipy_imported_only_by_reference_module():

@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dettree import (
     BuildConfig,
@@ -19,7 +22,7 @@ from dettree import (
 from dettree.build import MAX_DEPTH_LIMIT
 from dettree.io import CsvFormatError, TreeDocumentError, document_to_tree, tree_to_document
 
-from conftest import build_random_tree, leaf_tree
+from conftest import build_random_tree, leaf_tree, reference_read_csv
 
 
 class TestReadCsv:
@@ -132,6 +135,83 @@ class TestReadCsvLargeFileErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvFormatError, match=rf": row 50001 {message}$"):
             read_csv(path)
+
+
+# CSV fields: numbers most of the time, else text that float() or csv.reader
+# treats specially (blanks, whitespace, underscores, quotes, junk, non-finite)
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-10**6, 10**6).map(str))
+_ODD_FIELD = st.sampled_from(["", " ", " 1.5 ", "\t2", "1_000", "1__0", "_1", "x", "a b", "1e", "0x10", "inf", "-inf",
+                              "nan", "NaN", "1e999", '"2.5"', '" 3 "', '"a,b"', '""', 'x"y'])
+_FIELD = st.one_of(_NUMBER, _NUMBER, _NUMBER, _ODD_FIELD)
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """CSV text with an optional header, rows mostly of one width, blank
+    lines anywhere, any line end and an optional byte-order mark."""
+    width = draw(st.integers(1, 4))
+    row = st.one_of(st.lists(_FIELD, min_size=width, max_size=width), st.lists(_FIELD, max_size=5))
+    lines = [",".join(fields) for fields in draw(st.lists(row, max_size=12))]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(draw(st.lists(st.sampled_from(["a", "b", " c ", '"d,e"', "1"]),
+                                               min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _read_outcome(reader, path):
+    """The bits, shape and names an ensemble reads as, or its error."""
+    try:
+        ens = reader(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return ens.data.tobytes(), ens.data.shape, ens.column_names
+
+
+class TestReadCsvMatchesListReader:
+    """The streaming reader against the list-based reader it replaced."""
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    @example(text="1,2\n3,inf\n4\n")  # a non-finite row before a ragged row
+    @example(text="a,b\n")  # a header without rows
+    @example(text="a,b\r\n\r\n")  # a header, then only a blank line
+    @example(text="\n1,2\n3,4\n")  # a blank first line
+    @example(text="\n\r\n\n")  # only blank lines
+    @example(text="\ufeff")
+    @example(text="1,2\n3,4\n\n")  # a trailing blank line
+    def test_same_bits_names_and_errors(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_csv, path) == _read_outcome(reference_read_csv, path)
+
+    def test_undecodable_bytes_after_a_bad_row_raise_the_decoding_error(self, tmp_path):
+        # the list-based reader decoded the whole file before it parsed a row
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1,2\n3\n" + b"4,5\n" * 5000 + b"6,\xff\n")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            reference_read_csv(path)
+        with pytest.raises(UnicodeDecodeError) as got:
+            read_csv(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_peak_memory_is_the_output_plus_a_row(self, tmp_path):
+        rng = np.random.default_rng(17)
+        pts = rng.standard_normal((100_000, 3))
+        path = tmp_path / "data.csv"
+        write_csv(path, pts, ["a", "b", "c"])
+        tracemalloc.start()
+        try:
+            ens = read_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ens.data, pts)
+        # the list-based reader held every row as Python strings: about 36 MB here
+        assert peak <= 2 * pts.nbytes + 2**20
 
 
 def _csv_writer_bytes(points, names) -> bytes:

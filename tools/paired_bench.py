@@ -1,17 +1,20 @@
 """Paired benchmark runs: a base commit against the working tree.
 
     python3 tools/paired_bench.py --base HEAD~1 --workload fit_resample --seeds 201-210
+    python3 tools/paired_bench.py --base HEAD~1 --workload all --seeds 201-210
     python3 tools/paired_bench.py --smoke --base HEAD
 
-The base side is a ``git worktree`` of ``--base`` in a temporary directory,
-removed at exit; the change side is the checkout that holds this script.
-For each seed both sides run ``bench/run.py --workload W --seed N --seconds S
---trace 0``, and the side that runs first alternates from pair to pair. The
-script prints every pair, each side's quartiles per gated metric of
-BENCHMARK.json, the change's wins, and whether a gain can be claimed: at
-least nine tenths of at least ten pairs won (ties count for neither) and a
-median gap, in the better direction, larger than the base's interquartile
-range. It exits 1 if a run fails.
+The base side is the committed files of ``--base`` (``git archive``),
+unpacked in a temporary directory that is removed at exit; the change side
+is the checkout that holds this script. ``--workload`` takes one workload, a
+comma-separated list or ``all``. For each workload in turn and each seed,
+both sides run ``bench/run.py --workload W --seed N --seconds S --trace 0``,
+and the side that runs first alternates from pair to pair. The script
+prints one block per workload: every pair, each side's quartiles per gated
+metric of BENCHMARK.json, the change's wins, and whether a gain can be
+claimed: at least nine tenths of at least ten pairs won (ties count for
+neither) and a median gap, in the better direction, larger than the base's
+interquartile range. It exits 1 if a run fails.
 
 ``--smoke`` runs ``bench/run.py --smoke`` once on each side instead and
 exits 1 if an output hash, an exact count, ``fit_ise`` or ``cond_ks``
@@ -36,24 +39,33 @@ SMOKE_QUALITY = ("fit_ise", "cond_ks")
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision of the base side (default HEAD)")
-    parser.add_argument("--workload", default="fit_resample", choices=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--workload", default="fit_resample",
+                        help=f"one of {', '.join(names)}, a comma-separated list, or all (default fit_resample)")
     parser.add_argument("--seeds", default="1-10", help="seeds as FIRST-LAST or comma-separated (default 1-10)")
     parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]), help="measuring time per run")
     parser.add_argument("--smoke", action="store_true", help="compare the outputs of one smoke run per side")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
+    workloads = names if args.workload == "all" else args.workload.split(",")
+    unknown = sorted(set(workloads) - set(names))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(names)} or all")
 
+    label = git("rev-parse", "--short", args.base).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="paired_bench-") as tmp:
         base = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(base), args.base)
-        try:
-            if args.smoke:
-                return compare_smoke(base, ROOT)
-            return paired_runs(base, ROOT, args.workload, seeds, args.seconds, spec["end_to_end"])
-        finally:
-            git("worktree", "remove", "--force", str(base))
+        base.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(base)], input=git("archive", args.base, text=False).stdout, check=True)
+        if args.smoke:
+            return compare_smoke(base, ROOT, label)
+        failed = 0
+        for k, workload in enumerate(workloads):
+            print("\n" * (k > 0) + f"== {workload}", flush=True)
+            failed |= paired_runs(base, ROOT, label, workload, seeds, args.seconds, spec["end_to_end"])
+        return failed
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -63,8 +75,8 @@ def parse_seeds(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def git(*args: str) -> None:
-    subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True)
+def git(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=text)
 
 
 def run_bench(checkout: Path, *args: str) -> tuple[bool, dict]:
@@ -80,7 +92,8 @@ def run_bench(checkout: Path, *args: str) -> tuple[bool, dict]:
     return proc.returncode == 0 and last.get("correct") is True, last
 
 
-def paired_runs(base: Path, change: Path, workload: str, seeds: list[int], seconds: float, gated: list) -> int:
+def paired_runs(base: Path, change: Path, label: str, workload: str, seeds: list[int], seconds: float,
+                gated: list) -> int:
     sides = {"base": base, "change": change}
     values = {side: {m["name"]: [] for m in gated} for side in sides}
     ok = True
@@ -98,7 +111,7 @@ def paired_runs(base: Path, change: Path, workload: str, seeds: list[int], secon
                  for m in gated]
         print(f"pair {k + 1} seed {seed} ({' first, '.join(line)} second): {'; '.join(cells)}", flush=True)
 
-    print(f"\n{workload}: {len(seeds)} pairs, base {base_label(base)} against the working tree")
+    print(f"\n{workload}: {len(seeds)} pairs, base {label} against the working tree")
     for m in gated:
         name, lower_better = m["name"], m["better"] == "lower"
         b, c = values["base"][name], values["change"][name]
@@ -124,12 +137,7 @@ def fmt(q) -> str:
     return "/".join(f"{x:.6g}" for x in q)
 
 
-def base_label(base: Path) -> str:
-    return subprocess.run(["git", "-C", str(base), "rev-parse", "--short", "HEAD"], capture_output=True,
-                          text=True).stdout.strip()
-
-
-def compare_smoke(base: Path, change: Path) -> int:
+def compare_smoke(base: Path, change: Path, label: str) -> int:
     """Smoke runs on both sides; 1 if an output or exact metric differs."""
     sys.path.insert(0, str(change / "bench"))
     import metrics
@@ -155,7 +163,7 @@ def compare_smoke(base: Path, change: Path) -> int:
         b, c = (records[side]["outputs"][workload] for side in ("base", "change"))
         differ += [f"{workload} sha256 {name}: {b.get(name)} -> {c.get(name)}"
                    for name in sorted(set(b) | set(c)) if b.get(name) != c.get(name)]
-    print(f"smoke outputs, base {base_label(base)} against the working tree: "
+    print(f"smoke outputs, base {label} against the working tree: "
           f"{'identical' if not differ else f'{len(differ)} differ'}")
     for line in differ:
         print(f"  {line}")
