@@ -10,9 +10,9 @@ The half-mass statistic alone is blind to misfit that is symmetric about
 the midpoint (a centered bell inside a cell matches its lower-half mass
 exactly), so the quartile thresholds are what let refinement reach regions
 where the density is curved but balanced. The node is split along the least
-compatible dimension when the combined test rejects; otherwise it becomes a
-leaf. Construction is a pure function of (ensemble, config), so rebuilding
-from identical input yields a bit-identical tree.
+compatible dimension (at ``_split_position``) when the combined test rejects;
+otherwise it becomes a leaf. Construction is a pure function of (ensemble,
+config), so rebuilding from identical input yields a bit-identical tree.
 
 What a node computes: the three counts below the quartile cuts of each
 dimension, whether each dimension varies, theta per dimension, and from
@@ -235,7 +235,7 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
                     thetas[i] = _theta(cols[i], lower[i], upper[i])
             # ties to the lowest index; with no varying dimension p = 1 is never below alpha
             pvalue, best = min(((_quartile_pvalue(counts[i], m, thetas[i]), i) for i in varying), default=(1.0, -1))
-            position = (lower[best] + upper[best]) / 2.0
+            position = _split_position(lower[best], upper[best])
             # a box one ulp wide has no midpoint strictly inside and cannot split
             if not (pvalue < config.alpha and lower[best] < position < upper[best]):
                 best = -1
@@ -266,12 +266,18 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
 
 def _quartile_counts(row: np.ndarray, lo: float, hi: float) -> tuple[tuple[int, int, int], np.ndarray]:
     """The counts of ``row`` below the cuts at 1/4, 1/2 and 3/4 of [lo, hi],
-    and the mask below the midpoint. The midpoint cut is ``(lo + hi) / 2``,
-    the split position, so the mask partitions a split node."""
-    mid = row < (lo + hi) / 2.0
+    and the mask below the midpoint. The midpoint cut is the split position,
+    so the mask partitions a split node."""
+    mid = row < _split_position(lo, hi)
     counts = (int(np.count_nonzero(row < lo + 0.25 * (hi - lo))), int(np.count_nonzero(mid)),
               int(np.count_nonzero(row < lo + 0.75 * (hi - lo))))
     return counts, mid
+
+
+def _split_position(lo: float, hi: float) -> float:
+    """The one place a cut is decided: the midpoint, from the halves where lo + hi overflows."""
+    mid = (lo + hi) / 2.0
+    return mid if abs(mid) < math.inf else lo / 2.0 + hi / 2.0
 
 
 def _quartile_pvalue(counts: tuple[int, int, int], m: int, theta: float) -> float:

@@ -378,8 +378,8 @@ def _parse_grid(text: str, dims: int) -> list[tuple[int, float, float, int]]:
             raise UsageError(f"malformed grid spec {part!r}") from None
         if not 1 <= dim <= dims:
             raise UsageError(f"dimension out of range: {dim} (tree has {dims} dimensions)")
-        if not (hi > lo and num >= 2):
-            raise UsageError(f"grid spec {part!r} needs hi > lo and at least 2 points")
+        if not (lo < hi and hi - lo < math.inf and num >= 2):  # lo < hi is false for NaN
+            raise UsageError(f"grid spec {part!r} needs finite lo < hi, a finite hi - lo and at least 2 points")
         specs.append((dim - 1, lo, hi, num))
     return specs
 

@@ -18,8 +18,8 @@ order.
     count          (N,)   int64     samples in a leaf, 0 at a split
     theta          (N, d) float64   a leaf's marginal slopes, 0 at a split
 
-A split halves its box at the midpoint of ``split_dim``, so the position is
-not stored: it is ``(lower[i, k] + upper[i, k]) / 2``.
+A split's cut lies strictly inside its box and is stored once, as the face
+its children share, ``upper[i + 1, split_dim[i]]``; the builder places it.
 
 Containment convention: leaf intervals are closed below and open above,
 [l, u), except that a face lying on the root box's upper boundary is closed.
@@ -34,10 +34,10 @@ bounds and widths; the upper bounds, with each face on the root's upper
 boundary stored as +inf so a box holds v exactly when lower <= v < upper_open;
 theta; and the sampler's quantile coefficients, of which the lower bounds
 and widths are the first two planes. Per node: the leaf flag and leaf mass
-count/n, and the density router's split dimension and midpoint (0 at a
-leaf), with at 2i and 2i + 1 the lower and upper child of node i (i twice
-at a leaf, so a leaf routes to itself). The set assumes that the read-only
-node arrays never change.
+count/n, and the density router's split dimension and cut, with at 2i and
+2i + 1 the lower and upper child of node i (i twice at a leaf, so a leaf
+routes to itself). The set assumes that the read-only node arrays never
+change.
 
 Blocks. Density and sampling work through their rows in blocks of
 ``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
@@ -154,9 +154,6 @@ class DetTree:
         nodes = np.arange(self.split_dim.size)
         splits = nodes[self.split_dim >= 0]
         dim = np.maximum(self.split_dim, 0)
-        mid = np.zeros(nodes.size)
-        # only at splits: a leaf's box may span a range whose bound sum overflows
-        mid[splits] = (self.lower[splits, dim[splits]] + self.upper[splits, dim[splits]]) / 2.0
         child = np.repeat(nodes, 2)
         child[2 * splits] = splits + 1
         child[2 * splits + 1] = self.upper_child[splits]
@@ -169,7 +166,7 @@ class DetTree:
             is_leaf=self.split_dim < 0,
             mass=self.count / self.n,
             dim=dim,
-            mid=mid,
+            cut=self.upper[(nodes + 1) % nodes.size, dim],  # a leaf routes to itself whatever it reads
             child=child,
         )
         for table in tables:
@@ -182,7 +179,7 @@ class _NodeTables(NamedTuple):
     the sampler passes to ``_quantile``; per-dimension node rows: (d, N)
     ``lower`` and ``width`` (views of the first two planes), ``upper_open``
     and ``theta``; per node: (N,) ``is_leaf`` and ``mass``, and the router's
-    (N,) ``dim`` and ``mid`` and (2N,) ``child``."""
+    (N,) ``dim`` and ``cut`` and (2N,) ``child``."""
 
     quantile: np.ndarray
     lower: np.ndarray
@@ -192,7 +189,7 @@ class _NodeTables(NamedTuple):
     is_leaf: np.ndarray
     mass: np.ndarray
     dim: np.ndarray
-    mid: np.ndarray
+    cut: np.ndarray
     child: np.ndarray
 
 
@@ -304,7 +301,7 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
 
     Rows go in blocks of ``_BLOCK_ROWS``, each converted to float64 on its
     own. A block keeps its rows inside the root box and routes them one tree
-    level per array step, ``node = child[2 node + (x[dim[node]] >= mid[node])]``,
+    level per array step, ``node = child[2 node + (x[dim[node]] >= cut[node])]``,
     so each row stops at the leaf that holds it under the containment
     convention. A leaf routes to itself; every few levels the rows that sit
     at a leaf leave the routing, so a row costs its own leaf's depth rather
@@ -338,7 +335,7 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
         while rows.size:
             at = tables.dim.take(current)
             at += row_start
-            bit = flat.take(at) >= tables.mid.take(current)
+            bit = flat.take(at) >= tables.cut.take(current)
             current *= 2
             current += bit
             current = tables.child.take(current)
@@ -392,7 +389,7 @@ def validate_tree(tree: DetTree) -> None:
     (splits, empty leaves) and everywhere in a constant-order tree; the
     topology (one tree in preorder, lower child at i + 1, upper child just
     past the lower subtree); children that partition their parent's box
-    exactly at its midpoint.
+    exactly, which with positive widths puts each cut strictly inside it.
     """
     lower, upper, theta, count, split_dim = tree.lower, tree.upper, tree.theta, tree.count, tree.split_dim
     if lower.ndim != 2 or 0 in lower.shape:
@@ -449,10 +446,8 @@ def validate_tree(tree: DetTree) -> None:
 
     lo_child, hi_child, k = splits + 1, expected[splits], split_dim[splits]
     rows = np.arange(splits.size)
-    cut = upper[lo_child, k]
     lo_upper, hi_lower = upper[splits], lower[splits]
-    lo_upper[rows, k] = cut
-    hi_lower[rows, k] = cut
+    lo_upper[rows, k] = hi_lower[rows, k] = upper[lo_child, k]  # the cut: the face the children share
     if not (
         np.array_equal(lower[lo_child], lower[splits])
         and np.array_equal(upper[lo_child], lo_upper)
@@ -460,8 +455,6 @@ def validate_tree(tree: DetTree) -> None:
         and np.array_equal(upper[hi_child], upper[splits])
     ):
         raise ValueError("children do not exactly partition their parent box")
-    if not np.array_equal(cut, (lower[splits, k] + upper[splits, k]) / 2.0):
-        raise ValueError("a split is not at the midpoint of its box")
 
 
 def _check_theta(theta) -> None:

@@ -64,10 +64,10 @@ def read_csv(path) -> Ensemble:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        names, body, width = _split_header(csv.reader(fh))
         try:
+            names, body, width = _split_header(csv.reader(fh))
             data = np.fromiter(map(float, _fields(body, width)), dtype=np.float64)
-        except ValueError:  # a ragged or non-numeric row, or undecodable text
+        except (ValueError, csv.Error):  # a ragged, non-numeric or over-long row, or undecodable text
             data = None
     if data is None or data.size == 0 or not np.isfinite(data).all():
         _raise_first_bad_row(path)
@@ -109,7 +109,7 @@ def tree_to_document(tree: DetTree) -> dict:
             record["count"] = count[node]
             record["theta"] = theta[node]
         else:
-            record["split"] = {"dim": dim, "position": (lower[node][dim] + upper[node][dim]) / 2.0}
+            record["split"] = {"dim": dim, "position": upper[node + 1][dim]}
             record["children"] = [records[node + 1], records[upper_child[node]]]
         records[node] = record
     return {
@@ -155,20 +155,15 @@ def write_tree(path, tree: DetTree) -> None:
     with one ``%`` template per (depth, leaf or split). A split's template
     ends where its lower child's record begins; after a leaf come the closing
     brackets of the splits whose subtrees end there and the comma before the
-    next record, an upper child's. A non-finite bound, leaf theta or split
-    position raises ValueError before the file is opened.
+    next record, an upper child's. A non-finite bound or leaf theta raises
+    ValueError before the file is opened.
     """
     nodes, dims = tree.split_dim.size, tree.dims
-    splits = np.flatnonzero(tree.split_dim >= 0)
-    cut = (splits, tree.split_dim[splits])
-    position = np.zeros(nodes)
-    with np.errstate(over="ignore"):  # an overflowing position is refused below
-        position[splits] = (tree.lower[cut] + tree.upper[cut]) / 2.0
-    for values in (tree.lower, tree.upper, tree.theta[tree.split_dim < 0], position):
+    for values in (tree.lower, tree.upper, tree.theta[tree.split_dim < 0]):
         bad = ~np.isfinite(values)
         if bad.any():
             raise ValueError(f"tree documents hold finite floats only, got {float(values[bad][0])!r}")
-    lower, upper, theta, position = tree.lower.tolist(), tree.upper.tolist(), tree.theta.tolist(), position.tolist()
+    lower, upper, theta = tree.lower.tolist(), tree.upper.tolist(), tree.theta.tolist()
     split_dim, upper_child, count = tree.split_dim.tolist(), tree.upper_child.tolist(), tree.count.tolist()
     names = ",\n    ".join(map(encode_basestring_ascii, tree.column_names))
     parts = [f'{{\n  "formatVersion": {FORMAT_VERSION},\n  "n": {tree.n},\n  "dims": {dims},\n'
@@ -183,7 +178,7 @@ def write_tree(path, tree: DetTree) -> None:
             template = templates[k, leaf] = _record_template(k, dims, leaf)
         if not leaf:
             depth[node + 1] = depth[upper_child[node]] = k + 1
-            parts.append(template % (*lower[node], *upper[node], dim, position[node]))
+            parts.append(template % (*lower[node], *upper[node], dim, upper[node + 1][dim]))
             continue
         parts.append(template % (*lower[node], *upper[node], count[node], *theta[node]))
         # the next node is an upper child, so this leaf ends the subtrees of the splits deeper than its parent
@@ -247,15 +242,19 @@ def _fields(rows, width: int):
 def _raise_first_bad_row(path: Path):
     """Read the file anew and raise the CsvFormatError of its first malformed
     row, or of an empty file or a header without rows. Every row is read
-    first, so a decoding or csv error anywhere in the file is raised instead,
-    as when the whole file was read before parsing."""
+    first, so a decoding error or a row that ``csv`` refuses (a field over
+    its size limit) anywhere in the file is raised instead."""
+    line_no = 0
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        names, body, width = _split_header(csv.reader(fh))
-        first_line = 1 if names is None else 2
-        message, line_no = None, first_line - 1
-        for line_no, row in enumerate(body, start=first_line):
-            if message is None and (error := _row_error(row, width)) is not None:
-                message = f"row {line_no} {error}"
+        try:
+            names, body, width = _split_header(csv.reader(fh))
+            first_line = 1 if names is None else 2
+            message, line_no = None, first_line - 1
+            for line_no, row in enumerate(body, start=first_line):
+                if message is None and (error := _row_error(row, width)) is not None:
+                    message = f"row {line_no} {error}"
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: row {line_no + 1} cannot be parsed: {exc}") from None
     if message is None and line_no < first_line:
         message = "no data rows after the header"
     if message is None and width == 0:
@@ -286,9 +285,9 @@ def _parse_row(row: list[str]):
 def _document_nodes(root, dims: int) -> dict:
     """The preorder node arrays (as lists) of the nested ``root`` record, read
     with an explicit stack. Checks each record's keys and JSON types, and
-    that each split position is its box's midpoint; errors name the record's
-    path (``root.children[0]...``)."""
-    nodes, upper_child = [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
+    that each split position is its lower child's upper bound; errors name
+    the record's path (``root.children[0]...``)."""
+    nodes, upper_child, cuts = [], [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
     stack = [(root, "root", -1)]  # (record, path, id of the parent whose upper child it is)
     while stack:
         record, where, parent = stack.pop()
@@ -316,14 +315,16 @@ def _document_nodes(root, dims: int) -> dict:
         dim = split["dim"]
         if not 0 <= dim < dims:
             raise TreeDocumentError(f"{where}: split dimension {dim} out of range")
-        if split["position"] != (float(lo[dim]) + float(hi[dim])) / 2.0:
-            raise TreeDocumentError(f"{where}: split position is not the midpoint of the box")
         if not isinstance(children, list) or len(children) != 2:
             raise TreeDocumentError(f"{where}: split needs exactly two children")
+        cuts.append((len(nodes), dim, split["position"], where))
         nodes.append((lo, hi, dim, 0, [0.0] * dims))
         stack.append((children[1], f"{where}.children[1]", len(nodes) - 1))
         stack.append((children[0], f"{where}.children[0]", -1))
     lower, upper, split_dim, count, theta = zip(*nodes)
+    for node, dim, position, where in cuts:  # the lower child of a split is the next node
+        if position != upper[node + 1][dim]:
+            raise TreeDocumentError(f"{where}: split position is not its lower child's upper bound")
     return dict(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=count, theta=theta)
 
 

@@ -114,7 +114,8 @@ def exhaustive_conditioned_leaves(tree: DetTree, cond: Condition):
 def pruned_search_conditioned_leaves(tree: DetTree, cond: Condition):
     """Reference root-to-leaf search: a depth-first walk, lower child first,
     that at a split on a conditioned dimension visits only the side holding
-    the value (the upper side from the midpoint on). Returns the leaf ids,
+    the value (the upper side from the cut on, the lower child's upper
+    bound). Returns the leaf ids,
     their weights (same arithmetic order as the library) and the visited
     node ids in visit order."""
     fixed = dict(cond.entries)
@@ -131,7 +132,7 @@ def pruned_search_conditioned_leaves(tree: DetTree, cond: Condition):
         upper_child = int(tree.upper_child[node])
         if value is None:
             stack.extend([upper_child, node + 1])
-        elif value >= (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0:
+        elif value >= tree.upper[node + 1, dim]:
             stack.append(upper_child)
         else:
             stack.append(node + 1)
@@ -186,7 +187,8 @@ def reference_sample_conditional(tree: DetTree, cond: Condition, seed: int, coun
 def reference_det_density_many(tree: DetTree, points) -> np.ndarray:
     """Reference density router: one stack descent over node ids, in which
     each node holds its points as a (d, m) block of columns that a split
-    partitions stably into the child blocks, then each leaf's count/n times
+    partitions stably into the child blocks at its cut (the lower child's
+    upper bound), then each leaf's count/n times
     its marginal densities. The library's block-wise router must equal it
     byte for byte."""
     pts = np.asarray(points, dtype=np.float64)
@@ -200,7 +202,7 @@ def reference_det_density_many(tree: DetTree, points) -> np.ndarray:
             continue
         dim = int(tree.split_dim[node])
         if dim >= 0:
-            below = cols[dim] < (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+            below = cols[dim] < tree.upper[node + 1, dim]
             stack.append((int(tree.upper_child[node]), np.compress(~below, cols, axis=1), idx[~below]))
             stack.append((node + 1, np.compress(below, cols, axis=1), idx[below]))
         elif tree.count[node] > 0:
@@ -259,7 +261,7 @@ def _reference_grow(data, idx, lower: list, upper: list, depth: int, config) -> 
         if varying:
             pvalues = {i: fit_pvalue(data[idx, i], lower[i], upper[i], thetas[i]) for i in varying}
             best = min(varying, key=lambda i: (pvalues[i], i))
-            position = (lower[best] + upper[best]) / 2.0
+            position = reference_midpoint(lower[best], upper[best])
             if pvalues[best] < config.alpha and lower[best] < position < upper[best]:
                 below = data[idx, best] < position
                 lo_upper, hi_lower = list(upper), list(lower)
@@ -269,6 +271,14 @@ def _reference_grow(data, idx, lower: list, upper: list, depth: int, config) -> 
                 return {"lower": lower, "upper": upper, "split": {"dim": best, "position": position},
                         "children": children}
     return {"lower": lower, "upper": upper, "count": count, "theta": thetas}
+
+
+def reference_midpoint(lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi] as the builder cuts it: (lo + hi) / 2, or
+    where that sum leaves the float64 range, the sum of the halves."""
+    lo, hi = float(lo), float(hi)  # Python floats overflow to inf without a numpy warning
+    total = lo + hi
+    return total / 2.0 if -math.inf < total < math.inf else lo / 2.0 + hi / 2.0
 
 
 def fit_pvalue(values: np.ndarray, lo: float, hi: float, theta: float) -> float:
@@ -290,7 +300,7 @@ def _threshold_pvalue(values: np.ndarray, lo: float, hi: float, theta: float, t:
     if values.size == 0:
         raise ValueError("need at least one value")
     # the midpoint form must match the split-assignment arithmetic exactly
-    cut = (lo + hi) / 2.0 if t == 0.5 else lo + t * (hi - lo)
+    cut = reference_midpoint(lo, hi) if t == 0.5 else lo + t * (hi - lo)
     k = int(np.count_nonzero(values < cut))
     m = int(values.size)
     p0 = t * (1.0 + theta * (t - 1.0))  # fitted marginal's mass below t

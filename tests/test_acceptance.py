@@ -202,7 +202,8 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
 
 def _leaf_occupancy(tree, pts: np.ndarray) -> np.ndarray:
     """Points per leaf, in depth-first leaf order, routed down the split
-    structure (position = box midpoint, ties to the upper child)."""
+    structure (a split cuts at its lower child's upper bound, ties to the
+    upper child)."""
     order = {leaf: k for k, leaf in enumerate(np.flatnonzero(tree.split_dim < 0).tolist())}
     counts = np.zeros(len(order), dtype=np.int64)
     stack = [(0, np.arange(pts.shape[0]))]
@@ -214,7 +215,7 @@ def _leaf_occupancy(tree, pts: np.ndarray) -> np.ndarray:
         if dim < 0:
             counts[order[node]] += idx.size
         else:
-            below = pts[idx, dim] < (tree.lower[node, dim] + tree.upper[node, dim]) / 2.0
+            below = pts[idx, dim] < tree.upper[node + 1, dim]
             stack.append((node + 1, idx[below]))
             stack.append((int(tree.upper_child[node]), idx[~below]))
     return counts

@@ -26,7 +26,7 @@ from dettree import (
     validate_tree,
 )
 from dettree.build import EXACT_BINOMIAL_LIMIT, MAX_DEPTH_LIMIT, _quartile_pvalue
-from dettree.io import tree_to_document
+from dettree.io import document_to_tree, tree_to_document
 
 from conftest import _threshold_pvalue, fit_pvalue, leaf_at, leaf_ids, random_ensemble, reference_build_tree
 
@@ -275,6 +275,23 @@ class TestBuildTree:
         validate_tree(tree)
         assert sum(leaf_mass(de, tree.n) for de in tree.iter_leaves()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_split_where_the_bound_sum_overflows(self):
+        # x1's box has finite bounds whose sum overflows float64; with the cut at
+        # (lo + hi) / 2 = inf every x1 counted as below it, x1 won the split choice
+        # and the split was refused, so the tree stayed one leaf blind to x2's shape
+        rng = np.random.default_rng(0)
+        data = np.column_stack([rng.uniform(1e308, 1.7e308, 20_000), rng.standard_normal(20_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = build_tree(Ensemble(data), BuildConfig())
+            validate_tree(tree)
+            draws = sample_unconditional(tree, 1, 10_000)
+            assert np.all(np.isfinite(det_density_many(tree, draws)))
+        assert leaf_ids(tree).size > 1 and np.any(tree.split_dim == 1)
+        assert np.all(np.isfinite(draws))
+        loaded = document_to_tree(json.loads(json.dumps(tree_to_document(tree))))
+        assert loaded.upper.tobytes() == tree.upper.tobytes() and loaded.lower.tobytes() == tree.lower.tobytes()
+
     def test_max_depth_limit(self):
         with pytest.raises(ValueError, match="max_depth"):
             BuildConfig(max_depth=MAX_DEPTH_LIMIT + 1)
@@ -332,6 +349,8 @@ def _column(kind: str, rng, n: int) -> np.ndarray:
         return rng.integers(0, 4, n) * 5e-324
     if kind == "huge":
         return rng.standard_normal(n) * 1e306
+    if kind == "overflowing_sum":  # bounds whose sum overflows, and stay finite under a 10 % pad
+        return rng.uniform(1e308, 1.6e308, n)
     # dyadic values on [0, 1]: with no bounds padding they sit on split midpoints
     column = rng.integers(0, 17, n) / 16.0
     column[0], column[-1] = 0.0, 1.0
@@ -341,10 +360,11 @@ def _column(kind: str, rng, n: int) -> np.ndarray:
 @st.composite
 def build_cases(draw):
     """Adversarial (ensemble, config) pairs: 1-4 dims of normal, integer,
-    subnormal, huge or dyadic columns, rows drawn with repetition from a
-    base set, both marginal orders, small leaf counts and depths."""
+    subnormal, huge, overflowing-sum or dyadic columns, rows drawn with
+    repetition from a base set, both marginal orders, small leaf counts and
+    depths."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["normal", "integer", "subnormal", "huge", "dyadic"]),
+    kinds = draw(st.lists(st.sampled_from(["normal", "integer", "subnormal", "huge", "overflowing_sum", "dyadic"]),
                           min_size=1, max_size=4))
     n_base = draw(st.integers(1, 200))
     base = np.column_stack([_column(kind, rng, n_base) for kind in kinds])

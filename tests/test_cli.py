@@ -204,6 +204,17 @@ class TestDensity:
         assert run("density", "--tree", str(tree_path), "--grid", "1:-2:2:5",
                    "--out", str(tmp_path / "g.csv")) == 1
 
+    @pytest.mark.parametrize("spec", ["1:0:inf:3", "1:-inf:0:3", "1:nan:1:3", "1:-1e308:1e308:3"])
+    def test_unrepresentable_range_is_usage_error(self, tmp_path, tree_path, capsys, spec):
+        # an infinite bound, or finite bounds whose width overflows, has no finite grid
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("density", "--tree", str(tree_path), "--grid", f"{spec},2:-2:2:5", "--fix", "3=0",
+                       "--out", str(out)) == 1
+        assert "needs finite lo < hi" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overlapping_fix_rejected(self, tmp_path, tree_path):
         assert run("density", "--tree", str(tree_path), "--grid", "1:-2:2:5,2:-2:2:5",
                    "--fix", "2=0", "--out", str(tmp_path / "g.csv")) == 1

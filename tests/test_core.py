@@ -21,14 +21,17 @@ from dettree import (
     marginal_cdf,
     marginal_density,
     marginal_quantile,
+    read_tree,
     sample_conditional,
     sample_unconditional,
     validate_tree,
+    write_tree,
 )
 from dettree.build import MAX_DEPTH_LIMIT
 from dettree.core import _BLOCK_ROWS
 
 from conftest import (
+    assert_search_matches_oracles,
     build_random_tree,
     leaf_at,
     leaf_contains,
@@ -519,17 +522,6 @@ def _empty_leaf_with_theta(a: dict) -> None:
     a["theta"][second, 0] = 0.5
 
 
-def _move_cut_off_midpoint(a: dict) -> None:
-    # a split whose children are both leaves: moving their shared face keeps the partition
-    for node in np.flatnonzero(a["split_dim"] >= 0):
-        hi = a["upper_child"][node]
-        if a["split_dim"][node + 1] < 0 and a["split_dim"][hi] < 0:
-            k = a["split_dim"][node]
-            a["upper"][node + 1, k] = a["lower"][hi, k] = a["lower"][node, k] * 0.7 + a["upper"][node, k] * 0.3
-            return
-    raise AssertionError("no split with two leaf children")
-
-
 def _append_unreachable_leaf(a: dict) -> None:
     for name in a:
         a[name] = np.concatenate([a[name], a[name][-1:]])
@@ -549,7 +541,6 @@ CORRUPTIONS = {  # kind: (corruption of the node arrays, expected message)
     "counts not summing to n": (_set("count", -1, lambda a: a["count"][-1] + 1), "leaf counts sum"),
     "split dimension out of range": (_set("split_dim", 0, 7), "split dimensions"),
     "child not partitioning its parent": (_set("upper", (1, 1), lambda a: a["upper"][1, 1] - 1e-3), "partition"),
-    "off-midpoint split": (_move_cut_off_midpoint, "midpoint"),
     "upper child out of range": (_set("upper_child", 0, 10**6), "upper_child"),
     "upper child pointing backwards": (_set("upper_child", 1, 0), "upper_child"),
     "upper child at a leaf": (_set("upper_child", -1, 0), "upper_child"),
@@ -557,13 +548,15 @@ CORRUPTIONS = {  # kind: (corruption of the node arrays, expected message)
 }
 
 
+NODE_ARRAYS = ("lower", "upper", "split_dim", "upper_child", "count", "theta")
+
+
 class TestValidateTreeRejectsCorruptArrays:
     @pytest.mark.parametrize("kind", list(CORRUPTIONS))
     def test_one_invariant_broken(self, kind):
         tree = build_random_tree(5, n=3000, d=2)
         assert tree.split_dim[1] >= 0, "need a split below the root for this seed"
-        names = ("lower", "upper", "split_dim", "upper_child", "count", "theta")
-        arrays = {name: getattr(tree, name).copy() for name in names}
+        arrays = {name: getattr(tree, name).copy() for name in NODE_ARRAYS}
         validate_tree(DetTree(**arrays, n=tree.n, order=tree.order))
         corrupt, message = CORRUPTIONS[kind]
         corrupt(arrays)
@@ -574,6 +567,78 @@ class TestValidateTreeRejectsCorruptArrays:
         tree = build_random_tree(5, n=3000, d=2)
         with pytest.raises(ValueError, match="constant-order"):
             validate_tree(dataclasses.replace(tree, order=CONST))
+
+
+def off_midpoint_tree() -> tuple[DetTree, int]:
+    """A built tree in which one split whose children are both leaves cuts
+    at 3/10 of its box instead of the midpoint: the children's shared face
+    is moved, which keeps the partition. Returns the tree and the split."""
+    tree = build_random_tree(5, n=3000, d=2)
+    arrays = {name: getattr(tree, name).copy() for name in NODE_ARRAYS}
+    for node in np.flatnonzero(tree.split_dim >= 0):
+        k, hi = tree.split_dim[node], tree.upper_child[node]
+        if tree.split_dim[node + 1] < 0 and tree.split_dim[hi] < 0:
+            cut = tree.lower[node, k] * 0.7 + tree.upper[node, k] * 0.3
+            arrays["upper"][node + 1, k] = arrays["lower"][hi, k] = cut
+            return DetTree(**arrays, n=tree.n, order=tree.order), int(node)
+    raise AssertionError("no split with two leaf children")
+
+
+class TestOffMidpointSplit:
+    """Only the builder decides where a split cuts; every other operation
+    reads the cut from the face the children share, so a tree cut off the
+    midpoint works end to end."""
+
+    def test_validates(self):
+        tree, node = off_midpoint_tree()
+        k = tree.split_dim[node]
+        assert tree.upper[node + 1, k] != (tree.lower[node, k] + tree.upper[node, k]) / 2.0
+        validate_tree(tree)
+
+    def test_round_trips_byte_for_byte(self, tmp_path):
+        tree, node = off_midpoint_tree()
+        path = tmp_path / "tree.json"
+        write_tree(path, tree)
+        text = path.read_bytes()
+        loaded = read_tree(path)
+        for name in NODE_ARRAYS:
+            assert getattr(loaded, name).tobytes() == getattr(tree, name).tobytes()
+        write_tree(path, loaded)
+        assert path.read_bytes() == text
+
+    def test_density_follows_the_cut(self):
+        tree, node = off_midpoint_tree()
+        k, cut = tree.split_dim[node], tree.upper[node + 1, tree.split_dim[node]]
+        rng = np.random.default_rng(3)
+        near = rng.uniform(tree.lower[node], tree.upper[node], size=(300, 2))
+        near[:100, k] = cut
+        near[100:200, k] = np.nextafter(cut, -np.inf)
+        points = np.vstack([near, rng.uniform(tree.lower[0], tree.upper[0], size=(300, 2))])
+        values = det_density_many(tree, points)
+        assert values.tobytes() == reference_det_density_many(tree, points).tobytes()
+        assert values.tolist() == [leaf_density_sum(tree, x) for x in points]
+
+    def test_search_follows_the_cut(self):
+        tree, node = off_midpoint_tree()
+        k, cut = tree.split_dim[node], tree.upper[node + 1, tree.split_dim[node]]
+        midpoint = (tree.lower[node, k] + tree.upper[node, k]) / 2.0
+        for value in (cut, np.nextafter(cut, -np.inf), midpoint, tree.lower[node, k]):
+            assert_search_matches_oracles(tree, Condition([(int(k), float(value))]))
+            assert_search_matches_oracles(tree, Condition([(int(k), float(value)), (1 - int(k), 0.0)]))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_draws_stay_inside_their_leaves(self, side):
+        tree, node = off_midpoint_tree()
+        leaf = node + 1 if side == "lower" else tree.upper_child[node]
+        # all the mass in one leaf next to the moved face: every draw must lie in that leaf
+        count, theta = np.zeros_like(tree.count), np.zeros_like(tree.theta)
+        count[leaf], theta[leaf] = tree.n, [0.9, -0.9]
+        one_leaf = dataclasses.replace(tree, count=count, theta=theta)
+        validate_tree(one_leaf)
+        other = 1 - int(tree.split_dim[node])
+        fixed = Condition([(other, float(tree.lower[leaf, other]))])
+        for draws in (sample_unconditional(one_leaf, 8, 5000), sample_conditional(one_leaf, fixed, 9, 5000)):
+            assert all(leaf_contains(one_leaf, leaf, x) for x in draws)
 
 
 class TestCuboid:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,38 @@ BAD_ROWS = {
     "nan": ("nan,2,3", "contains a non-finite value"),
     "blank line": ("", "has 0 fields, expected 3"),
 }
+
+
+# a number 131,073 characters long: one more than the csv module's default field size limit
+_LONG_FIELD = "0" * 131_072 + "1"
+
+
+class TestReadCsvOverLongField:
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    def test_names_the_row(self, tmp_path, row):
+        lines = ["a,b", "1,2", "3,4", "5,6"]
+        lines[row - 1] = f"7,{_LONG_FIELD}"
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match=rf": row {row} cannot be parsed: field larger than field limit"):
+            read_csv(path)
+
+    def test_after_a_bad_row_names_the_over_long_row(self, tmp_path):
+        # as with undecodable bytes, a row the csv module refuses is reported before a malformed row
+        path = tmp_path / "data.csv"
+        path.write_text(f"1,2\n3\n4,{_LONG_FIELD}\n")
+        with pytest.raises(CsvFormatError, match=": row 3 cannot be parsed"):
+            read_csv(path)
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        from dettree.cli import main
+
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1\n1\n{_LONG_FIELD}\n")
+        assert main(["build", "--in", str(path), "--out", str(tmp_path / "tree.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 3 cannot be parsed" in err and "Traceback" not in err
+        assert not (tmp_path / "tree.json").exists()
 
 
 class TestReadCsvLargeFileErrors:
@@ -325,6 +358,16 @@ class TestTreeDocuments:
         with pytest.raises(TreeDocumentError):
             document_to_tree(doc)
 
+    def test_position_off_the_shared_face_names_the_record(self):
+        doc = tree_to_document(build_random_tree(12, n=5000, d=2))
+        record, where = doc["root"], "root"
+        while "split" in record["children"][1]:
+            record, where = record["children"][1], where + ".children[1]"
+        assert where != "root", "expected a split below the root for this seed"
+        record["split"]["position"] = record["lower"][record["split"]["dim"]]
+        with pytest.raises(TreeDocumentError, match=rf"^{re.escape(where)}: split position is not its lower child's"):
+            document_to_tree(doc)
+
     def test_corrupt_json_reports_location(self, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text('{"formatVersion": 1, "n": ')
@@ -389,7 +432,6 @@ NON_FINITE_TREES = {  # the constructor checks nothing, so these reach the write
     "NaN theta": lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[np.nan]),
     "infinite theta": lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[-np.inf]),
     "NaN theta in a lower leaf": lambda: _split_tree(0.0, 1.0, theta=np.nan),
-    "overflowing split position": lambda: _split_tree(1e308, 1.7e308),
 }
 
 
@@ -405,6 +447,16 @@ class TestWriteTreeRefusesNonFinite:
         path = tmp_path / "tree.json"
         write_tree(path, _split_tree(0.0, 1.0))
         assert read_tree(path).count.tolist() == [0, 1, 1]
+
+    def test_overflowing_midpoint_is_written(self, tmp_path):
+        # (lower + upper) / 2 overflows here; the position is the children's shared face
+        tree = _split_tree(1e308, 1.7e308)
+        path = tmp_path / "tree.json"
+        write_tree(path, tree)
+        assert json.loads(path.read_text())["root"]["split"]["position"] == 1e308 / 2.0 + 1.7e308 / 2.0
+        text = path.read_bytes()
+        write_tree(path, read_tree(path))
+        assert path.read_bytes() == text
 
 
 def _split_document() -> dict:
