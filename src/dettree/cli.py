@@ -164,6 +164,9 @@ def _cmd_sample(args) -> int:
     _load("io", "sampling")
     tree = read_tree(_existing(args.tree))
     cond = _parse_conditions(args.cond, tree.dims)
+    for dim, value in cond.entries:  # checked before the library, which names 0-based dimensions
+        if not tree.lower[0, dim] <= value <= tree.upper[0, dim]:
+            raise ValueError(f"conditioning value {value} for dimension {dim + 1} lies outside the root cuboid")
     points = sample_conditional(tree, cond, args.seed, _nonneg(args.n))
     write_csv(args.out, points, tree.column_names)
     return 0

@@ -36,8 +36,9 @@ theta; and the sampler's quantile coefficients, of which the lower bounds
 and widths are the first two planes. Per node: the leaf flag and leaf mass
 count/n, and the density router's split dimension and cut, with at 2i and
 2i + 1 the lower and upper child of node i (i twice at a leaf, so a leaf
-routes to itself). The set assumes that the read-only node arrays never
-change.
+routes to itself). Per leaf: its id, and per dimension one contiguous row
+of its lower bounds and one of its ``upper_open``, which the search masks.
+The set assumes that the read-only node arrays never change.
 
 Blocks. Density and sampling work through their rows in blocks of
 ``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
@@ -118,6 +119,7 @@ class DetTree:
     n: int
     order: MarginalOrder
     column_names: tuple[str, ...] = field(default=())
+    _last_search = None  # not a field: the last (Condition, WeightedLeafSet) of the search
 
     def __post_init__(self):
         for name, dtype in _NODE_ARRAYS:
@@ -152,6 +154,8 @@ class DetTree:
         cap = np.where(root_face, upper, np.nextafter(upper, lower))
         quantile = _quantile_coefficients(theta, lower, upper, cap)
         nodes = np.arange(self.split_dim.size)
+        leaves = nodes[self.split_dim < 0]
+        upper_open = np.where(root_face, np.inf, upper)
         splits = nodes[self.split_dim >= 0]
         dim = np.maximum(self.split_dim, 0)
         child = np.repeat(nodes, 2)
@@ -161,9 +165,12 @@ class DetTree:
             quantile=quantile,
             lower=quantile[0],
             width=quantile[1],
-            upper_open=np.where(root_face, np.inf, upper),
+            upper_open=upper_open,
             theta=theta,
             is_leaf=self.split_dim < 0,
+            leaves=leaves,
+            leaf_lower=lower[:, leaves],
+            leaf_upper_open=upper_open[:, leaves],
             mass=self.count / self.n,
             dim=dim,
             cut=self.upper[(nodes + 1) % nodes.size, dim],  # a leaf routes to itself whatever it reads
@@ -179,7 +186,8 @@ class _NodeTables(NamedTuple):
     the sampler passes to ``_quantile``; per-dimension node rows: (d, N)
     ``lower`` and ``width`` (views of the first two planes), ``upper_open``
     and ``theta``; per node: (N,) ``is_leaf`` and ``mass``, and the router's
-    (N,) ``dim`` and ``cut`` and (2N,) ``child``."""
+    (N,) ``dim`` and ``cut`` and (2N,) ``child``; per leaf: the (L,) ids
+    ``leaves`` and (d, L) rows ``leaf_lower`` and ``leaf_upper_open``."""
 
     quantile: np.ndarray
     lower: np.ndarray
@@ -187,6 +195,9 @@ class _NodeTables(NamedTuple):
     upper_open: np.ndarray
     theta: np.ndarray
     is_leaf: np.ndarray
+    leaves: np.ndarray
+    leaf_lower: np.ndarray
+    leaf_upper_open: np.ndarray
     mass: np.ndarray
     dim: np.ndarray
     cut: np.ndarray
@@ -287,7 +298,8 @@ def _quantile(coef, y) -> None:
     np.maximum(denom, _DENOM_FLOOR, out=denom)
     y *= 2.0
     y /= denom
-    np.clip(y, 0.0, 1.0, out=y)
+    np.maximum(0.0, y, out=y)  # a tie returns y, as np.clip does: a -0.0 keeps its sign
+    np.minimum(y, 1.0, out=y)
     y *= width
     y += lo
     np.clip(y, lo, cap, out=y)

@@ -175,8 +175,11 @@ def sample_dirichlet(spec: DirichletSpec, seed: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    g = rng.gamma(shape=spec.alpha, size=(count, 3))
-    return g[:, :2] / g.sum(axis=1, keepdims=True)
+    g = rng.standard_gamma(spec.alpha, size=(count, 3))  # the stream and bits of gamma() with scale 1
+    total, out = g.sum(axis=1), np.empty((count, 2))
+    for j in range(2):  # column by column: a broadcast division over (count, 2) costs more
+        np.divide(g[:, j], total, out=out[:, j])
+    return out
 
 
 def dirichlet_marginal_cdf(spec: DirichletSpec, dim: int, x) -> "np.ndarray | float":

@@ -14,13 +14,17 @@ ascending dimension order. Fixed seed implies an identical output sequence.
 Concurrent sampling is safe when each strand owns its own stream (trees are
 immutable).
 
-Samples are made in blocks of ``_BLOCK_ROWS`` rows: each block draws its
-rows' uniforms from the stream, picks their leaves, gathers their quantile
-coefficients from the tree's derived tables and maps the uniforms in place
-into the output. The generator fills arrays in C order, so the blocks
-consume the stream in the same order as one whole-array draw and the output
-does not depend on the block size. A draw of ``count`` points holds the
-output plus O(block) temporaries.
+The search masks the tree's per-leaf rows of lower and open upper bounds.
+A tree keeps its last search result, read-only, for an equal condition, so
+a draw after the search of its condition (find, then draw) searches once.
+Samples are made in blocks of ``_BLOCK_ROWS`` rows. Once per call the
+quantile coefficients of the candidate leaves' free dimensions are gathered
+into a leaf-local table; each block draws its rows' uniforms from the
+stream, picks their leaves, takes their rows of that table and maps the
+uniforms in place into the output. The generator fills arrays in C order,
+so the blocks consume the stream in the same order as one whole-array draw
+and the output does not depend on the block size. A draw holds its output
+plus O(block + candidate leaves) temporaries.
 
 A leaf is picked by a guide table (Chen's indexed search): once per call,
 the cumulative leaf weights are searched at G + 1 evenly spaced fractions
@@ -54,6 +58,8 @@ __all__ = [
 
 # Most cells a guide table has: its bounds and indices take at most 64 KB.
 _GUIDE_CELLS = 4096
+# j / _GUIDE_CELLS; every (_GUIDE_CELLS // cells)-th entry is exactly j / cells
+_GUIDE_FRACTIONS = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
 
 
 @dataclass(frozen=True)
@@ -114,9 +120,9 @@ def _checked_entry(entry) -> tuple[int, float]:
 class WeightedLeafSet:
     """Ids of the leaves compatible with a condition, in lower-first
     depth-first (ascending) order, with their unnormalized selection weights
-    mass_k * prod_i p_i(value_i). The free dimensions integrate to one inside
-    each leaf, so ``total`` is the tree's estimate of the marginal density at
-    the conditioning point.
+    mass_k * prod_i p_i(value_i); both arrays are read-only. The free
+    dimensions integrate to one inside each leaf, so ``total`` is the tree's
+    estimate of the marginal density at the conditioning point.
     """
 
     leaves: np.ndarray
@@ -143,14 +149,13 @@ def _cumulative(weights: np.ndarray, draws: int) -> tuple[np.ndarray, int, np.nd
     the index that the cumulative search returns for every key of
     [j/G, (j+1)/G), or -1 where the keys of that cell may get different
     indices."""
-    cum = np.cumsum(weights)
-    if cum.size == 0 or cum[-1] <= 0.0 or np.any(weights < 0.0):
+    # array methods rather than np functions: a call costs less without the dispatch
+    cum = weights.cumsum()
+    if cum.size == 0 or cum[-1] <= 0.0 or (weights < 0.0).any():
         raise ValueError("weights must be nonnegative with a positive sum")
     cells = 1 << (min(max(draws, 1), _GUIDE_CELLS).bit_length() - 1)
-    bounds = np.arange(cells + 1, dtype=np.float64)
-    bounds /= cells
-    bounds *= cum[-1]
-    guide = np.searchsorted(cum, bounds, side="right")
+    bounds = _GUIDE_FRACTIONS[::_GUIDE_CELLS // cells] * cum[-1]
+    guide = cum.searchsorted(bounds, side="right")
     guide = np.where(guide[:-1] == guide[1:], guide[:-1], -1)
     return cum, np.flatnonzero(weights > 0.0)[-1], guide
 
@@ -159,10 +164,10 @@ def _pick(cum: np.ndarray, last: int, guide: np.ndarray, u: np.ndarray) -> np.nd
     # categorical_pick without the per-draw check of u, for generator output;
     # u * G is exact for a power of two G and its floor is the key's cell
     idx = guide.take((u * guide.size).astype(np.intp))
-    open_cells = np.flatnonzero(idx < 0)
-    idx[open_cells] = np.searchsorted(cum, u.take(open_cells) * cum[-1], side="right")
+    open_cells = (idx < 0).nonzero()[0]
+    idx[open_cells] = cum.searchsorted(u.take(open_cells) * cum[-1], side="right")
     # a subnormal total can make u * total round to the total: the last nonempty interval
-    return np.minimum(idx, last)
+    return np.minimum(idx, last, out=idx)
 
 
 def sample_unconditional(tree: DetTree, seed: int, count: int) -> np.ndarray:
@@ -182,34 +187,51 @@ def find_conditioned_leaves(
     value (under the containment convention), weighted by leaf mass times the
     marginal densities at those values.
 
-    One boolean mask per conditioned dimension over all node boxes keeps the
-    nodes whose interval [lower, upper) holds the value, closed on the root's
-    upper face. A node's box lies inside its parent's, so the kept nodes are
-    exactly those a root-to-leaf search visits when it prunes every branch
-    whose box excludes a value; their leaves are the result. ``on_visit`` is a
-    diagnostics hook called with the id of each such node in ascending order,
-    which is the depth-first preorder; the empty condition visits every node.
-    Raises ValueError where a node box has no width, or where a nonempty
-    leaf's weight overflows float64.
+    One boolean mask per conditioned dimension over the leaf boxes keeps the
+    leaves whose interval [lower, upper) holds the value, closed on the root's
+    upper face. The tree keeps the result for the next call with an equal
+    condition (+0.0 equals -0.0, which select the same leaves and weights).
+    ``on_visit`` is a diagnostics hook, called with the id of each node a
+    root-to-leaf search visits when it prunes every branch whose box excludes
+    a value, in ascending order, which is the depth-first preorder; the empty
+    condition visits every node. A call with it masks every node box and
+    bypasses the kept result. Raises ValueError where a node box has no
+    width, or where a nonempty leaf's weight overflows float64.
     """
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
             raise ValueError(f"conditioned dimension {dim} out of range for a {tree.dims}-D tree")
         if value < tree.lower[0, dim] or value > tree.upper[0, dim]:
             raise ValueError(f"conditioning value {value} for dimension {dim} lies outside the root cuboid")
+    last = tree._last_search if on_visit is None else None
+    if last is not None and last[0] == cond:
+        return last[1]
 
     tables = tree._tables
-    keep = np.ones(tables.mass.size, dtype=bool)
-    for dim, value in cond.entries:
-        keep &= tables.lower[dim] <= value
-        keep &= value < tables.upper_open[dim]
-    visited = np.flatnonzero(keep)
-    leaves = visited[tables.is_leaf[visited]]
-    if on_visit is not None:
+    if on_visit is None:
+        leaves = _holding(tables.leaves, tables.leaf_lower, tables.leaf_upper_open, cond.entries)
+    else:
+        visited = _holding(np.arange(tables.mass.size), tables.lower, tables.upper_open, cond.entries)
+        leaves = visited[tables.is_leaf[visited]]
         for node in visited.tolist():
             on_visit(node)
     weights = _leaf_density(tables, leaves, cond.entries, np.empty(leaves.size))
-    return WeightedLeafSet(leaves, weights, float(weights.sum()))
+    for array in (leaves, weights):  # kept by the tree: read-only, and views of them cannot be made writeable
+        array.setflags(write=False)
+    found = WeightedLeafSet(leaves[:], weights[:], float(weights.sum()))
+    if on_visit is None:
+        object.__setattr__(tree, "_last_search", (cond, found))  # one assignment: safe between threads
+    return found
+
+
+def _holding(ids: np.ndarray, lower: np.ndarray, upper_open: np.ndarray, entries) -> np.ndarray:
+    """The ``ids`` of the boxes, (d, M) rows ``lower`` and ``upper_open``, that hold every value."""
+    keep = None
+    for dim, value in entries:
+        inside = lower[dim] <= value
+        inside &= value < upper_open[dim]
+        keep = inside if keep is None else np.logical_and(keep, inside, out=keep)
+    return ids if keep is None else ids.compress(keep)
 
 
 def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) -> np.ndarray:
@@ -231,25 +253,25 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     if count == 0:
         return np.empty((0, d))
     cum, last, guide = _cumulative(leaf_set.weights, count)
-    # ids of the (leaf, free dimension) pairs in the flattened coefficient
-    # planes; the generator keeps every uniform in [0, 1)
+    # the leaf-local table: the (6, k, free) quantile coefficients of the k candidate
+    # leaves, by (leaf, free dimension) pair; the generator keeps every uniform in [0, 1)
     coefficients = tree._tables.quantile
-    planes = coefficients.reshape(coefficients.shape[0], -1)
-    pairs = free * coefficients.shape[2] + leaf_set.leaves[:, None]
+    local = coefficients.reshape(len(coefficients), -1).take(free * coefficients.shape[2] + leaf_set.leaves[:, None], 1)
     out = np.empty((count, d))
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         # one row per sample: leaf draw first, then one draw per free
         # dimension in ascending order (C-order fill matches sequential consumption)
         u = rng.random((stop - start, 1 + free.size))
-        coef = planes.take(pairs.take(_pick(cum, last, guide, u[:, 0]), axis=0), axis=1)
-        # unconditional blocks map in place in the output, conditional ones
-        # in a contiguous buffer that is then scattered to the free columns
+        coef = local.take(_pick(cum, last, guide, u[:, 0]), axis=1)
+        # unconditional blocks map in place in the output, conditional ones in a contiguous buffer
+        # then scattered to the free columns; column by column, as a strided 2-D copy costs more
         y = np.empty((stop - start, free.size)) if cond.entries else out[start:stop]
-        np.copyto(y, u[:, 1:])
+        for j in range(free.size):
+            y[:, j] = u[:, 1 + j]
         _quantile(coef, y)
-        if cond.entries:
-            out[start:stop, free] = y
+        for j, dim in enumerate(free.tolist() if cond.entries else ()):
+            out[start:stop, dim] = y[:, j]
         del u, coef, y  # free this block's temporaries before the next block's are made
     for dim, value in cond.entries:
         out[:, dim] = value

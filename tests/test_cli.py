@@ -187,6 +187,16 @@ class TestSample:
                    "--out", str(tmp_path / "s.csv"), "--cond", "3=99")
         assert code == 2
 
+    @pytest.mark.parametrize("cond, dim", [("1=1e308", 1), ("3=99", 3), ("2=-1e308", 2)])
+    def test_condition_outside_root_names_the_1_based_dimension(self, tmp_path, tree_path, capsys, cond, dim):
+        # the library counts dimensions from 0, the command line from 1
+        code = run("sample", "--tree", str(tree_path), "--n", "10", "--seed", "1",
+                   "--out", str(tmp_path / "s.csv"), "--cond", "2=0" if dim != 2 else "3=0", "--cond", cond)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"for dimension {dim} lies outside the root cuboid" in err
+        assert err.count("\n") == 1 and not (tmp_path / "s.csv").exists()
+
 
 class TestDensity:
     def test_grid_slice_matches_library(self, tmp_path, tree_path):

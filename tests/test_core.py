@@ -195,6 +195,15 @@ class TestMarginalQuantile:
         with pytest.raises(ValueError):
             marginal_quantile(theta, -1.0, 4.0, y + 0.5)
 
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_signed_zero_keeps_its_sign(self, theta):
+        # y = -0.0 lies in [0, 1]; at lo = -0.0 the [0, 1] clip of t must keep the sign, and the
+        # result is lo itself, -0.0, for scalars and for arrays of every length
+        assert np.signbit(marginal_quantile(theta, -0.0, 1.0, -0.0))
+        for size in (1, 3, 17, 64):
+            assert np.all(np.signbit(marginal_quantile(theta, -0.0, 1.0, np.full(size, -0.0))))
+            assert not np.any(np.signbit(marginal_quantile(theta, 0.0, 1.0, np.full(size, -0.0))))
+
 
 class TestMarginalThetaDomain:
     # outside [-1, 1] the density turns negative (1 + 2 * (2 * 0.1 - 1) = -0.6)

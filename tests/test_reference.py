@@ -203,6 +203,16 @@ class TestSampleDirichlet:
     def test_zero_count(self):
         assert sample_dirichlet(DirichletSpec(alpha=ALPHA), 0, 0).shape == (0, 2)
 
+    @pytest.mark.parametrize("count", [0, 1, 100_000])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_bytes_of_the_gamma_ratio(self, seed, count):
+        # the normalised gamma draws of numpy's gamma() with scale 1, divided by the row totals
+        g = np.random.default_rng(seed).gamma(shape=ALPHA, size=(count, 3))
+        expected = g[:, :2] / g.sum(axis=1, keepdims=True)
+        pts = sample_dirichlet(DirichletSpec(alpha=ALPHA), seed, count)
+        assert pts.shape == (count, 2) and pts.dtype == np.float64
+        assert pts.tobytes() == expected.tobytes()
+
     def test_on_simplex(self):
         pts = sample_dirichlet(DirichletSpec(alpha=ALPHA), 14, 10000)
         assert np.all(pts > 0.0)

@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -414,6 +417,143 @@ class TestSampleConditional:
         a = sample_conditional(gaussian_tree_small, cond, 21, 1000)
         b = sample_conditional(gaussian_tree_small, cond, 21, 1000)
         assert np.array_equal(a, b)
+
+
+def fresh(tree: DetTree) -> DetTree:
+    """A copy of ``tree`` that has made no search yet."""
+    return dataclasses.replace(tree)
+
+
+def search_bytes(found) -> tuple:
+    return found.leaves.tobytes(), found.weights.tobytes(), found.total
+
+
+class TestSearchSlot:
+    """A tree keeps its last search result for an equal condition: a draw
+    after the search of its condition searches once, and gives the bytes of a
+    tree that has searched nothing."""
+
+    def test_conditions_a_b_a_equal_fresh_calls(self, gaussian_tree_small):
+        tree = fresh(gaussian_tree_small)
+        a, b = Condition([(2, 0.3)]), Condition([(0, -0.2), (2, 0.1)])
+        for k, cond in enumerate((a, b, a, a, b)):
+            found = find_conditioned_leaves(tree, cond)
+            assert find_conditioned_leaves(tree, cond) is found  # the kept result
+            pts = sample_conditional(tree, cond, 40 + k, 700)
+            other = fresh(gaussian_tree_small)
+            assert search_bytes(found) == search_bytes(find_conditioned_leaves(other, cond))
+            assert pts.tobytes() == sample_conditional(fresh(gaussian_tree_small), cond, 40 + k, 700).tobytes()
+            assert pts.tobytes() == reference_sample_conditional(tree, cond, 40 + k, 700).tobytes()
+
+    def test_one_condition_on_two_trees(self, gaussian_tree_small):
+        first, second = fresh(gaussian_tree_small), build_random_tree(3, n=400, d=3)
+        cond = Condition([(1, 0.25)])
+        found = [find_conditioned_leaves(tree, cond) for tree in (first, second)]
+        assert found[0].leaves.tobytes() != found[1].leaves.tobytes()
+        for tree, leaf_set in zip((first, second), found):
+            assert find_conditioned_leaves(tree, cond) is leaf_set
+            assert search_bytes(leaf_set) == search_bytes(find_conditioned_leaves(fresh(tree), cond))
+            assert sample_conditional(tree, cond, 8, 500).tobytes() == \
+                reference_sample_conditional(tree, cond, 8, 500).tobytes()
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_conditions_keep_their_sign(self, gaussian_tree_small, first, second):
+        tree = fresh(gaussian_tree_small)
+        assert Condition([(2, first)]) == Condition([(2, second)])
+        for seed, value in enumerate((first, second, first)):
+            cond = Condition([(2, value)])
+            pts = sample_conditional(tree, cond, seed, 600)
+            assert np.all(np.signbit(pts[:, 2]) == np.signbit(value))
+            assert pts.tobytes() == reference_sample_conditional(tree, cond, seed, 600).tobytes()
+
+    def test_on_visit_bypasses_the_kept_result(self, gaussian_tree_small):
+        tree = fresh(gaussian_tree_small)
+        a, b = Condition([(2, 0.3)]), Condition([(0, 0.1)])
+        kept = find_conditioned_leaves(tree, a)
+        for cond in (a, b, Condition()):
+            visited = []
+            found = find_conditioned_leaves(tree, cond, visited.append)
+            assert visited == pruned_search_conditioned_leaves(tree, cond)[2]  # preorder
+            assert found is not kept
+            assert find_conditioned_leaves(tree, a) is kept  # neither read nor written
+        assert search_bytes(find_conditioned_leaves(tree, a, lambda node: None)) == search_bytes(kept)
+
+    def test_leaf_sets_are_read_only(self, gaussian_tree_small):
+        tree = fresh(gaussian_tree_small)
+        for cond in (Condition([(1, 0.2)]), Condition()):
+            for hook in (None, lambda node: None):
+                found = find_conditioned_leaves(tree, cond, hook)
+                for array in (found.weights, found.leaves):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1
+                    with pytest.raises(ValueError, match="read-only"):
+                        array *= 2
+                    with pytest.raises(ValueError):
+                        array.setflags(write=True)
+        assert search_bytes(find_conditioned_leaves(tree, cond)) == \
+            search_bytes(find_conditioned_leaves(fresh(tree), cond))
+
+    @pytest.mark.parametrize("strands", [2, 4])
+    def test_threads_drawing_alternating_conditions(self, gaussian_tree_small, strands):
+        tree = fresh(gaussian_tree_small)
+        conds = [Condition([(2, 0.3)]), Condition([(0, -0.2), (2, 0.1)]), Condition()]
+        jobs = [(conds[k % 3], 200 + k) for k in range(60)]
+        expected = [(search_bytes(find_conditioned_leaves(fresh(tree), c)),
+                     reference_sample_conditional(tree, c, seed, 300).tobytes()) for c, seed in jobs]
+        results = [[] for _ in range(strands)]
+        start = threading.Barrier(strands)
+
+        def draw(strand: int) -> None:
+            start.wait()
+            for cond, seed in jobs[strand:] + jobs[:strand]:  # the strands interleave different conditions
+                found = find_conditioned_leaves(tree, cond)
+                results[strand].append((search_bytes(found), sample_conditional(tree, cond, seed, 300).tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(strand,)) for strand in range(strands)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for strand, result in enumerate(results):
+            assert result == expected[strand:] + expected[:strand]
+
+    def test_negative_zero_lower_bound(self):
+        # root [-0.0, 1] x [0, 1] split at x1 = 0.5, linear leaves; draws that land
+        # on the lower face, and a condition at -0.0 itself
+        theta = np.array([[0.0, 0.0], [0.6, -0.4], [-1.0, 1.0]])
+        tree = DetTree(lower=[[-0.0, 0.0], [-0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
+                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 30, 70], theta=theta,
+                       n=100, order=LIN)
+        validate_tree(tree)
+        for cond in (Condition(), Condition([(1, 0.5)]), Condition([(0, -0.0)]), Condition([(0, 0.0)])):
+            for seed in range(3):
+                pts = sample_conditional(tree, cond, seed, 2000)
+                assert pts.tobytes() == reference_sample_conditional(tree, cond, seed, 2000).tobytes()
+                for dim, value in cond.entries:
+                    assert np.all(np.signbit(pts[:, dim]) == np.signbit(value))
+
+    def test_negative_zero_lower_bound_at_the_smallest_uniform(self, monkeypatch):
+        # every uniform 0.0: each free coordinate is its leaf's lower face, -0.0
+        tree = DetTree(lower=[[-0.0, -0.0], [-0.0, -0.0], [0.5, -0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
+                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 10, 0],
+                       theta=[[0.0, 0.0], [0.5, -1.0], [0.0, 0.0]], n=10, order=LIN)
+        validate_tree(tree)
+
+        class SmallestUniform:
+            def random(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: SmallestUniform())
+        for cond in (Condition(), Condition([(1, -0.0)]), Condition([(0, 0.25)])):
+            pts = sample_conditional(tree, cond, 0, 5)
+            assert pts.tobytes() == reference_sample_conditional(tree, cond, 0, 5).tobytes()
+            assert np.all(np.signbit(pts[:, cond.free_dims(2)]))
 
 
 class TestBlockwiseSampler:

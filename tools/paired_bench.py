@@ -14,17 +14,25 @@ prints one block per workload: every pair, each side's quartiles per gated
 metric of BENCHMARK.json, the change's wins, and whether a gain can be
 claimed: at least nine tenths of at least ten pairs won (ties count for
 neither) and a median gap, in the better direction, larger than the base's
-interquartile range. It exits 1 if a run fails.
+interquartile range. Next to it stands a regression verdict against the
+metric's BENCHMARK.json bound, a fraction of the base median: "worse" where
+the change's median is worse than the base median by more than the bound,
+"unresolved" where the base's interquartile range exceeds the bound (unless
+every change run beats every base run), and "no worse" otherwise. It exits 1
+if a run fails.
 
-``--smoke`` runs ``bench/run.py --smoke`` once on each side instead and
-exits 1 if an output hash, an exact count, ``fit_ise`` or ``cond_ks``
-differs between the sides.
+``--smoke`` runs ``bench/run.py --smoke`` once on each side instead, and
+one fresh process per side that hashes conditional draws made by that
+side's library (``CONDITIONAL_DIGEST``), which the benchmark does not hash.
+It exits 1 if an output hash, an exact count, ``fit_ise``, ``cond_ks`` or
+that digest differs between the sides.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +43,25 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 # metrics of a smoke run that must repeat bit for bit on both sides, besides the exact counts
 SMOKE_QUALITY = ("fit_ise", "cond_ks")
+# Prints a SHA-256 of the README's library sequence (search, marginal estimate,
+# conditional draw) through the public API: a 10^4-point tree of the README
+# Gaussian, 50 conditions on x3 and 50 on x1 and x3, 1,000 draws each.
+CONDITIONAL_DIGEST = """
+import hashlib
+import numpy as np
+import dettree as dt
+cov = np.array([[0.35, 0.25, 0.5], [0.25, 0.4, 0.6], [0.5, 0.6, 1.0]])
+data = dt.sample_gaussian(dt.GaussianSpec(mu=np.zeros(3), cov=cov), 7, 10_000)
+tree = dt.build_tree(dt.Ensemble(data), dt.BuildConfig())
+rows = np.random.default_rng(8).integers(data.shape[0], size=100)
+digest = hashlib.sha256()
+for i, r in enumerate(rows.tolist()):
+    cond = dt.Condition([(2, data[r, 2])] if i < 50 else [(0, data[r, 0]), (2, data[r, 2])])
+    found = dt.find_conditioned_leaves(tree, cond)
+    digest.update(found.leaves.astype(np.int64).tobytes() + found.weights.tobytes() + np.float64(found.total).tobytes())
+    digest.update(dt.sample_conditional(tree, cond, 100 + i, 1000).tobytes())
+print(digest.hexdigest())
+"""
 
 
 def main(argv=None) -> int:
@@ -122,8 +149,24 @@ def paired_runs(base: Path, change: Path, label: str, workload: str, seeds: list
         holds = len(b) >= 10 and wins >= 0.9 * len(b) and gap > iqr
         print(f"  {name:12s} base q1/med/q3 {fmt(bq)}  change {fmt(cq)}  {m['unit']}; "
               f"change wins {wins}/{len(b)}, median gap {gap:+.6g} vs base IQR {iqr:.6g}, "
-              f"median change {100.0 * (cq[1] - bq[1]) / bq[1]:+.1f}%; gain claimable: {'yes' if holds else 'no'}")
+              f"median change {100.0 * (cq[1] - bq[1]) / bq[1]:+.1f}%; gain claimable: {'yes' if holds else 'no'}; "
+              f"regression: {regression_verdict(b, c, lower_better, m['bound'])} "
+              f"(bound {100.0 * m['bound']:.0f}%, base IQR {100.0 * iqr / abs(bq[1]):.1f}% of its median)")
     return 0 if ok else 1
+
+
+def regression_verdict(base: list[float], change: list[float], lower_better: bool, bound: float) -> str:
+    """"no worse", "worse" or "unresolved" for one gated metric: the change's
+    median against the base median, with ``bound`` a fraction of the base
+    median; unresolved where the base's interquartile range exceeds the bound,
+    unless every change run beats every base run."""
+    (b1, b_med, b3), c_med = quartiles(base), quartiles(change)[1]
+    if (max(change) < min(base)) if lower_better else (min(change) > max(base)):
+        return "no worse"
+    if b3 - b1 > bound * abs(b_med):
+        return "unresolved"
+    worse_by = (c_med - b_med) if lower_better else (b_med - c_med)
+    return "worse" if worse_by > bound * abs(b_med) else "no worse"
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -154,6 +197,9 @@ def compare_smoke(base: Path, change: Path, label: str) -> int:
                         .get("outputs", {}) for w in metrics.ALL},
         }
     differ = []
+    digests = [conditional_digest(checkout) for checkout in (base, change)]
+    if "failed" in digests or digests[0] != digests[1]:
+        differ.append(f"conditional draws sha256: {digests[0]} -> {digests[1]}")
     for workload in metrics.ALL:
         for name in metrics.EXACT_COUNTS + SMOKE_QUALITY:
             key = f"{workload}:{name}"
@@ -168,6 +214,17 @@ def compare_smoke(base: Path, change: Path, label: str) -> int:
     for line in differ:
         print(f"  {line}")
     return 1 if differ else 0
+
+
+def conditional_digest(checkout: Path) -> str:
+    """``CONDITIONAL_DIGEST`` run in a fresh process on ``checkout``'s library."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-c", CONDITIONAL_DIGEST], cwd=checkout, env=env, capture_output=True,
+                          text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return "failed"
+    return proc.stdout.strip()
 
 
 if __name__ == "__main__":
