@@ -212,16 +212,12 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
     linear = config.order is MarginalOrder.LINEAR
     root = np.ascontiguousarray(ensemble.data.T)
     root_lower, root_upper = _padded_box(ensemble.data, root, config.bounds_padding_rel)
-    nodes, upper_child = [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
-    # pending nodes: (column block, lower, upper, depth, id of the parent whose upper child it is,
-    # per dimension the quartile counts handed down, None where the node counts them itself)
-    stack = [(root, root_lower.tolist(), root_upper.tolist(), 0, -1, [None] * d)]
+    nodes = []  # (lower, upper, split dim, count, theta) in preorder
+    # pending nodes: (column block, lower, upper, depth, per dimension the handed-down quartile counts or None)
+    stack = [(root, root_lower.tolist(), root_upper.tolist(), 0, [None] * d)]
     del root  # the stack holds the only reference, so the root split frees the block
     while stack:
-        cols, lower, upper, depth, parent, counts = stack.pop()
-        if parent >= 0:
-            upper_child[parent] = len(nodes)
-        upper_child.append(-1)
+        cols, lower, upper, depth, counts = stack.pop()
         m = cols.shape[1]
         thetas = [None] * d if linear and m > 0 else [0.0] * d
         best, masks = -1, {}
@@ -257,11 +253,11 @@ def build_tree(ensemble: Ensemble, config: BuildConfig) -> DetTree:
                 if i != best:
                     small_counts[i] = _quartile_counts(small[i], lower[i], upper[i])[0]
                     other_counts[i] = tuple(k - s for k, s in zip(counts[i], small_counts[i]))
-        stack.append((hi_cols, hi_lower, upper, depth + 1, len(nodes) - 1, hi_counts))
-        stack.append((lo_cols, lower, lo_upper, depth + 1, -1, lo_counts))
+        stack.append((hi_cols, hi_lower, upper, depth + 1, hi_counts))
+        stack.append((lo_cols, lower, lo_upper, depth + 1, lo_counts))
     lower, upper, split_dim, count, theta = zip(*nodes)
-    return DetTree(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=count, theta=theta,
-                   n=ensemble.n, order=config.order, column_names=ensemble.column_names)
+    return DetTree(lower=lower, upper=upper, split_dim=split_dim, count=count, theta=theta, n=ensemble.n,
+                   order=config.order, column_names=ensemble.column_names)
 
 
 def _quartile_counts(row: np.ndarray, lo: float, hi: float) -> tuple[tuple[int, int, int], np.ndarray]:

@@ -14,9 +14,14 @@ order.
 
     lower, upper   (N, d) float64   the node's box
     split_dim      (N,)   intp      split dimension, -1 at a leaf
-    upper_child    (N,)   intp      id of the upper child, -1 at a leaf
     count          (N,)   int64     samples in a leaf, 0 at a split
     theta          (N, d) float64   a leaf's marginal slopes, 0 at a split
+    upper_child    (N,)   intp      derived: id of the upper child, -1 at a leaf
+
+In preorder the split flags fix the shape, so ``upper_child`` is derived
+from ``split_dim``, not stored, and raises ValueError where the flags do
+not form one tree. Every array a tree hands out sits over an immutable
+``bytes`` buffer, so none in its ``.base`` chain can be made writeable.
 
 A split's cut lies strictly inside its box and is stored once, as the face
 its children share, ``upper[i + 1, split_dim[i]]``; the builder places it.
@@ -38,7 +43,7 @@ count/n, and the density router's split dimension and cut, with at 2i and
 2i + 1 the lower and upper child of node i (i twice at a leaf, so a leaf
 routes to itself). Per leaf: its id, and per dimension one contiguous row
 of its lower bounds and one of its ``upper_open``, which the search masks.
-The set assumes that the read-only node arrays never change.
+The node arrays never change, so the set never goes stale.
 
 Blocks. Density and sampling work through their rows in blocks of
 ``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
@@ -47,7 +52,7 @@ whatever its size; the block size does not change a single output bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -81,7 +86,6 @@ _NODE_ARRAYS = (
     ("lower", np.float64),
     ("upper", np.float64),
     ("split_dim", np.intp),
-    ("upper_child", np.intp),
     ("count", np.int64),
     ("theta", np.float64),
 )
@@ -105,15 +109,15 @@ class DetTree:
     theta_i in [-1, 1]: theta = 0 is the uniform model, |theta| <= 1 keeps
     the density nonnegative and the family is self-normalizing on [0, 1].
 
-    The constructor stores read-only copies of the arrays and checks nothing
-    else; ``validate_tree`` checks the invariants. Density evaluation is pure,
-    so any number of threads may read concurrently.
+    The constructor takes the five stored arrays, keeps permanently
+    read-only copies and checks nothing else; ``validate_tree`` checks the
+    invariants. Density evaluation is pure, so any number of threads may
+    read concurrently.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     split_dim: np.ndarray
-    upper_child: np.ndarray
     count: np.ndarray
     theta: np.ndarray
     n: int
@@ -124,11 +128,13 @@ class DetTree:
     def __post_init__(self):
         for name, dtype in _NODE_ARRAYS:
             # same_kind casting refuses a float count or dimension instead of truncating it
-            value = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind")
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            value = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind", copy=False)
+            object.__setattr__(self, name, _sealed(value))
         names = tuple(self.column_names) or tuple(f"x{i + 1}" for i in range(self.dims))
         object.__setattr__(self, "column_names", names)
+
+    def __reduce__(self):  # through the constructor: unpickled arrays would own writeable data
+        return DetTree, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dims(self) -> int:
@@ -143,6 +149,23 @@ class DetTree:
         return (DetNode(self, node) for node in np.flatnonzero(self.split_dim < 0).tolist())
 
     @cached_property
+    def upper_child(self) -> np.ndarray:
+        """Id of each split's upper child, -1 at a leaf: split i's lower
+        subtree ends at the first later node whose running balance of splits
+        (+1) and leaves (-1) is balance[i] - 1. The nodes form one tree (else
+        ValueError) exactly when the balance first reaches -1 at the last node."""
+        is_split = self.split_dim >= 0
+        nodes = is_split.size
+        balance = np.cumsum(np.where(is_split, 1, -1))
+        if is_split.ndim != 1 or nodes == 0 or balance[-1] != -1 or np.any(balance[:-1] < 0):
+            raise ValueError("the nodes do not form one tree in preorder")
+        splits = np.flatnonzero(is_split)
+        keys = np.sort((balance + 1) * nodes + np.arange(nodes))
+        upper_child = np.full(nodes, -1, dtype=np.intp)
+        upper_child[splits] = keys[np.searchsorted(keys, balance[splits] * nodes + splits + 1)] % nodes + 1
+        return _sealed(upper_child)
+
+    @cached_property
     def _tables(self) -> "_NodeTables":
         """The derived tables of the module docstring, checked and built on
         first use. A tree that fails the check raises on every call, since
@@ -153,21 +176,18 @@ class DetTree:
         # a draw is capped below an open upper face, which belongs to the neighbour
         cap = np.where(root_face, upper, np.nextafter(upper, lower))
         quantile = _quantile_coefficients(theta, lower, upper, cap)
-        nodes = np.arange(self.split_dim.size)
-        leaves = nodes[self.split_dim < 0]
+        nodes, is_leaf = np.arange(self.split_dim.size), self.split_dim < 0
+        leaves = nodes[is_leaf]
         upper_open = np.where(root_face, np.inf, upper)
-        splits = nodes[self.split_dim >= 0]
         dim = np.maximum(self.split_dim, 0)
-        child = np.repeat(nodes, 2)
-        child[2 * splits] = splits + 1
-        child[2 * splits + 1] = self.upper_child[splits]
+        child = np.where(is_leaf[:, None], nodes[:, None], np.column_stack([nodes + 1, self.upper_child])).ravel()
         tables = _NodeTables(
             quantile=quantile,
             lower=quantile[0],
             width=quantile[1],
             upper_open=upper_open,
             theta=theta,
-            is_leaf=self.split_dim < 0,
+            is_leaf=is_leaf,
             leaves=leaves,
             leaf_lower=lower[:, leaves],
             leaf_upper_open=upper_open[:, leaves],
@@ -176,15 +196,13 @@ class DetTree:
             cut=self.upper[(nodes + 1) % nodes.size, dim],  # a leaf routes to itself whatever it reads
             child=child,
         )
-        for table in tables:
-            table.setflags(write=False)
-        return tables
+        return _NodeTables._make(map(_sealed, tables))
 
 
 class _NodeTables(NamedTuple):
     """The (6, d, N) ``quantile`` planes lo, width, cap, a, a^2 and b that
     the sampler passes to ``_quantile``; per-dimension node rows: (d, N)
-    ``lower`` and ``width`` (views of the first two planes), ``upper_open``
+    ``lower`` and ``width`` (the first two planes), ``upper_open``
     and ``theta``; per node: (N,) ``is_leaf`` and ``mass``, and the router's
     (N,) ``dim`` and ``cut`` and (2N,) ``child``; per leaf: the (L,) ids
     ``leaves`` and (d, L) rows ``leaf_lower`` and ``leaf_upper_open``."""
@@ -220,6 +238,12 @@ class DetNode(NamedTuple):
     lower_child = property(lambda self: DetNode(self.tree, self.id + 1))
     upper_child = property(lambda self: DetNode(self.tree, int(self.tree.upper_child[self.id])))
     cuboid = body = property(lambda self: self)
+
+
+def _sealed(array: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``array`` over an immutable ``bytes`` buffer:
+    read-only, and no array in its ``.base`` chain can be made writeable."""
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
 
 
 def marginal_density(theta, lo, hi, x):
@@ -395,22 +419,23 @@ def validate_tree(tree: DetTree) -> None:
     """Check every invariant of the node arrays once, over whole arrays;
     raises ValueError on the first violation.
 
-    Shapes; n >= 1 and one column name per dimension; finite bounds and
-    strictly positive, finite widths; |theta| <= 1; nonnegative counts
-    summing to n; count 0 at splits and theta 0 wherever the count is 0
-    (splits, empty leaves) and everywhere in a constant-order tree; the
-    topology (one tree in preorder, lower child at i + 1, upper child just
-    past the lower subtree); children that partition their parent's box
+    Split flags that form one tree in preorder, which deriving
+    ``upper_child`` checks; shapes; n >= 1 and one column name per
+    dimension; finite bounds and strictly positive, finite widths;
+    |theta| <= 1; nonnegative counts summing to n; count 0 at splits and
+    theta 0 wherever the count is 0 (splits, empty leaves) and everywhere in
+    a constant-order tree; children that partition their parent's box
     exactly, which with positive widths puts each cut strictly inside it.
     """
+    upper_child = tree.upper_child
     lower, upper, theta, count, split_dim = tree.lower, tree.upper, tree.theta, tree.count, tree.split_dim
     if lower.ndim != 2 or 0 in lower.shape:
         raise ValueError("lower must be an (N, d) array with N, d >= 1")
     nodes, d = lower.shape
     if upper.shape != lower.shape or theta.shape != lower.shape:
         raise ValueError(f"upper and theta must have the shape {lower.shape} of lower")
-    if any(a.shape != (nodes,) for a in (split_dim, tree.upper_child, count)):
-        raise ValueError(f"split_dim, upper_child and count need one entry per node ({nodes})")
+    if split_dim.shape != (nodes,) or count.shape != (nodes,):
+        raise ValueError(f"split_dim and count need one entry per node ({nodes})")
     if tree.n < 1:
         raise ValueError("tree must be built from at least one sample")
     if len(tree.column_names) != d:
@@ -430,8 +455,8 @@ def validate_tree(tree: DetTree) -> None:
         raise ValueError("counts must be nonnegative")
     if np.any((split_dim < -1) | (split_dim >= d)):
         raise ValueError(f"split dimensions must lie in [-1, {d})")
-    is_split = split_dim >= 0
-    if np.any(count[is_split] != 0):
+    splits = np.flatnonzero(split_dim >= 0)
+    if np.any(count[splits] != 0):
         raise ValueError("split nodes must carry count 0")
     if np.any(theta[count == 0] != 0.0):
         raise ValueError("empty leaves and split nodes must carry theta = 0")
@@ -441,31 +466,12 @@ def validate_tree(tree: DetTree) -> None:
     if total != tree.n:
         raise ValueError(f"leaf counts sum to {total}, expected n = {tree.n}")
 
-    # In preorder the split flags alone fix the shape: the running balance of
-    # splits (+1) and leaves (-1) stays nonnegative before the last node and
-    # reaches -1 there exactly when the nodes form one tree, each reached once.
-    balance = np.cumsum(np.where(is_split, 1, -1))
-    if balance[-1] != -1 or np.any(balance[:-1] < 0):
-        raise ValueError("the nodes do not form one tree in preorder")
-    # The lower subtree of split i ends at the first node after i whose
-    # balance is balance[i] - 1; sorting (balance, id) keys finds it.
-    splits = np.flatnonzero(is_split)
-    keys = np.sort((balance + 1) * nodes + np.arange(nodes))
-    expected = np.full(nodes, -1)
-    expected[splits] = keys[np.searchsorted(keys, balance[splits] * nodes + splits + 1)] % nodes + 1
-    if not np.array_equal(tree.upper_child, expected):
-        raise ValueError("upper_child must point just past the lower child's subtree, and be -1 at leaves")
-
-    lo_child, hi_child, k = splits + 1, expected[splits], split_dim[splits]
+    lo_child, hi_child, k = splits + 1, upper_child[splits], split_dim[splits]
     rows = np.arange(splits.size)
     lo_upper, hi_lower = upper[splits], lower[splits]
     lo_upper[rows, k] = hi_lower[rows, k] = upper[lo_child, k]  # the cut: the face the children share
-    if not (
-        np.array_equal(lower[lo_child], lower[splits])
-        and np.array_equal(upper[lo_child], lo_upper)
-        and np.array_equal(lower[hi_child], hi_lower)
-        and np.array_equal(upper[hi_child], upper[splits])
-    ):
+    children = np.concatenate([lower[lo_child], upper[lo_child], lower[hi_child], upper[hi_child]])
+    if not np.array_equal(children, np.concatenate([lower[splits], lo_upper, hi_lower, upper[splits]])):
         raise ValueError("children do not exactly partition their parent box")
 
 

@@ -287,13 +287,10 @@ def _document_nodes(root, dims: int) -> dict:
     with an explicit stack. Checks each record's keys and JSON types, and
     that each split position is its lower child's upper bound; errors name
     the record's path (``root.children[0]...``)."""
-    nodes, upper_child, cuts = [], [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
-    stack = [(root, "root", -1)]  # (record, path, id of the parent whose upper child it is)
+    nodes, cuts = [], []  # nodes: (lower, upper, split dim, count, theta) in preorder
+    stack = [(root, "root")]
     while stack:
-        record, where, parent = stack.pop()
-        if parent >= 0:
-            upper_child[parent] = len(nodes)
-        upper_child.append(-1)
+        record, where = stack.pop()
         if not isinstance(record, dict):
             raise TreeDocumentError(f"{where}: node record must be an object")
         lo, hi = record.get("lower"), record.get("upper")
@@ -319,13 +316,13 @@ def _document_nodes(root, dims: int) -> dict:
             raise TreeDocumentError(f"{where}: split needs exactly two children")
         cuts.append((len(nodes), dim, split["position"], where))
         nodes.append((lo, hi, dim, 0, [0.0] * dims))
-        stack.append((children[1], f"{where}.children[1]", len(nodes) - 1))
-        stack.append((children[0], f"{where}.children[0]", -1))
+        stack.append((children[1], f"{where}.children[1]"))
+        stack.append((children[0], f"{where}.children[0]"))
     lower, upper, split_dim, count, theta = zip(*nodes)
     for node, dim, position, where in cuts:  # the lower child of a split is the next node
         if position != upper[node + 1][dim]:
             raise TreeDocumentError(f"{where}: split position is not its lower child's upper bound")
-    return dict(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=count, theta=theta)
+    return dict(lower=lower, upper=upper, split_dim=split_dim, count=count, theta=theta)
 
 
 def _numbers(values, length: int) -> bool:

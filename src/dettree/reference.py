@@ -50,10 +50,10 @@ class GaussianSpec:
             raise ValueError("cov must be a d x d matrix")
         if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(cov)):
             raise ValueError("mu and cov must be finite")
-        asym = np.max(np.abs(cov - cov.T))
-        if asym > 1e-9 * max(1.0, float(np.max(np.abs(cov)))):
+        half = cov / 2.0  # halved first: two entries near the float64 maximum sum beyond it
+        if np.max(np.abs(half - half.T)) > 0.5e-9 * max(1.0, float(np.max(np.abs(cov)))):
             raise ValueError("cov must be symmetric")
-        cov = (cov + cov.T) / 2.0
+        cov = half + half.T
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:

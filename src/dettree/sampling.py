@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, DetTree, _leaf_density, _quantile
+from .core import _BLOCK_ROWS, DetTree, _leaf_density, _quantile, _sealed
 
 __all__ = [
     "Condition",
@@ -198,6 +198,7 @@ def find_conditioned_leaves(
     bypasses the kept result. Raises ValueError where a node box has no
     width, or where a nonempty leaf's weight overflows float64.
     """
+    tables = tree._tables
     for dim, value in cond.entries:
         if not 0 <= dim < tree.dims:
             raise ValueError(f"conditioned dimension {dim} out of range for a {tree.dims}-D tree")
@@ -207,7 +208,6 @@ def find_conditioned_leaves(
     if last is not None and last[0] == cond:
         return last[1]
 
-    tables = tree._tables
     if on_visit is None:
         leaves = _holding(tables.leaves, tables.leaf_lower, tables.leaf_upper_open, cond.entries)
     else:
@@ -216,9 +216,8 @@ def find_conditioned_leaves(
         for node in visited.tolist():
             on_visit(node)
     weights = _leaf_density(tables, leaves, cond.entries, np.empty(leaves.size))
-    for array in (leaves, weights):  # kept by the tree: read-only, and views of them cannot be made writeable
-        array.setflags(write=False)
-    found = WeightedLeafSet(leaves[:], weights[:], float(weights.sum()))
+    # kept by the tree, so over immutable buffers: no array in their .base chains can be made writeable
+    found = WeightedLeafSet(_sealed(leaves), _sealed(weights), float(weights.sum()))
     if on_visit is None:
         object.__setattr__(tree, "_last_search", (cond, found))  # one assignment: safe between threads
     return found

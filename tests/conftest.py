@@ -63,6 +63,32 @@ def leaf_ids(tree: DetTree) -> np.ndarray:
     return np.flatnonzero(tree.split_dim < 0)
 
 
+def base_chain(array: np.ndarray):
+    """``array`` and every array in its ``.base`` chain."""
+    while isinstance(array, np.ndarray):
+        yield array
+        array = array.base
+
+
+def stack_walk_upper_child(split_dim):
+    """Reference topology: the preorder nodes fill, one by one, the child
+    slot on top of a stack of open slots, and a split opens its upper slot
+    and then its lower one. Returns each split's upper child (-1 at a
+    leaf), or None where the flags are not one tree: a node arrives with no
+    slot open, or slots stay open after the last node."""
+    upper_child = [-1] * len(split_dim)
+    slots = [-1]  # the split whose upper child fills the slot; -1 for the root or a lower child
+    for node, dim in enumerate(split_dim):
+        if not slots:
+            return None
+        parent = slots.pop()
+        if parent >= 0:
+            upper_child[parent] = node
+        if dim >= 0:
+            slots += [node, -1]
+    return None if slots else upper_child
+
+
 def leaf_contains(tree: DetTree, leaf: int, x) -> bool:
     """Brute-force containment convention: leaf intervals are closed below
     and open above, except faces on the root box's upper boundary."""
@@ -233,7 +259,7 @@ def leaf_tree(lower, upper, count: int, n: int, theta=None, order=MarginalOrder.
     """A one-node tree: the root box is a single leaf."""
     lower = np.asarray(lower, dtype=np.float64)
     theta = np.zeros_like(lower) if theta is None else theta
-    return DetTree(lower=[lower], upper=[upper], split_dim=[-1], upper_child=[-1], count=[count], theta=[theta],
+    return DetTree(lower=[lower], upper=[upper], split_dim=[-1], count=[count], theta=[theta],
                    n=n, order=order)
 
 

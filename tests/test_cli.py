@@ -276,6 +276,16 @@ class TestValidate:
         assert run("validate", "--tree", str(tree_path), "--against", "gaussian",
                    "--params", "mu=0,0,0", "--report", str(tmp_path / "r.txt")) == 1
 
+    def test_covariance_near_the_float64_maximum(self, tmp_path, tree_path, capsys):
+        # symmetrizing the covariance summed 1e308 + 1e308, which overflowed with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("validate", "--tree", str(tree_path), "--against", "gaussian",
+                       "--params", "mu=0,0,0;cov=1e308,0,0|0,1e308,0|0,0,1e308", "--n", "20",
+                       "--report", str(tmp_path / "r.txt"))
+        assert code == 2
+        assert "RESULT: FAIL" in capsys.readouterr().out
+
     def test_dirichlet_validation(self, tmp_path):
         data = tmp_path / "dir.csv"
         tree = tmp_path / "dir_tree.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 import warnings
 
@@ -32,6 +33,7 @@ from dettree.core import _BLOCK_ROWS
 
 from conftest import (
     assert_search_matches_oracles,
+    base_chain,
     build_random_tree,
     leaf_at,
     leaf_contains,
@@ -40,6 +42,7 @@ from conftest import (
     leaf_tree,
     leafwise_quadrature_total,
     reference_det_density_many,
+    stack_walk_upper_child,
 )
 
 LIN = MarginalOrder.LINEAR
@@ -329,18 +332,18 @@ def spine_tree(depth: int) -> DetTree:
     holds one sample and a nonzero theta."""
     nodes = 2 * depth + 1
     lower, upper = np.zeros((nodes, 2)), np.ones((nodes, 2))
-    split_dim, upper_child = np.full(nodes, -1), np.full(nodes, -1)
+    split_dim = np.full(nodes, -1)
     for k in range(depth):
         dim, above = k % 2, 2 * depth - k
         mid = (lower[k, dim] + upper[k, dim]) / 2.0
-        split_dim[k], upper_child[k] = dim, above
+        split_dim[k] = dim
         lower[k + 1], upper[k + 1] = lower[k], upper[k]
         lower[above], upper[above] = lower[k], upper[k]
         upper[k + 1, dim] = lower[above, dim] = mid
     leaf = split_dim < 0
     theta = np.where(leaf[:, None], np.random.default_rng(depth).uniform(-1.0, 1.0, size=(nodes, 2)), 0.0)
-    return DetTree(lower=lower, upper=upper, split_dim=split_dim, upper_child=upper_child, count=leaf.astype(int),
-                   theta=theta, n=depth + 1, order=LIN)
+    return DetTree(lower=lower, upper=upper, split_dim=split_dim, count=leaf.astype(int), theta=theta, n=depth + 1,
+                   order=LIN)
 
 
 def subnormal_tree():
@@ -377,7 +380,7 @@ class TestBlockwiseDensity:
         big = np.finfo(np.float64).max
         one_leaf = leaf_tree([0.6 * big, -1.0], [0.95 * big, 1.0], 3, 3, [0.5, -0.25])
         split = DetTree(lower=[[0.0], [0.0], [0.45 * big]], upper=[[0.9 * big], [0.45 * big], [0.9 * big]],
-                        split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 1, 2],
+                        split_dim=[0, -1, -1], count=[0, 1, 2],
                         theta=[[0.0], [0.5], [-0.5]], n=3, order=LIN)
         for tree in (one_leaf, split):
             validate_tree(tree)
@@ -453,7 +456,7 @@ class TestDensityOverflow:
         u = np.nextafter(0.0, 1.0)
         tree = DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [20 * u, 0.0]],
                        upper=[[40 * u, 1.0], [20 * u, 1.0], [40 * u, 1.0]], split_dim=[0, -1, -1],
-                       upper_child=[2, -1, -1], count=[0, 0, 1], theta=np.zeros((3, 2)), n=1, order=LIN)
+                       count=[0, 0, 1], theta=np.zeros((3, 2)), n=1, order=LIN)
         validate_tree(tree)
         assert det_density_many(tree, [[5 * u, 0.5], [0.0, 0.0]]).tolist() == [0.0, 0.0]
         assert find_conditioned_leaves(tree, Condition([(0, 5 * u)])).weights.tolist() == [0.0]
@@ -500,9 +503,28 @@ class TestTreeInvariants:
             validate_tree(tree)
 
     def test_node_arrays_are_read_only(self, gaussian_tree_small):
-        for name in ("lower", "upper", "split_dim", "upper_child", "count", "theta"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(gaussian_tree_small, name)[0] = 0
+        # over immutable buffers: no array in the .base chain can be made writeable again, also after a
+        # pickle round trip (as to a worker process), which would otherwise hand back arrays that own their data
+        det_density_many(gaussian_tree_small, [[0.0, 0.0, 0.0]])  # the derived tables, pickled with the tree
+        unpickled = pickle.loads(pickle.dumps(gaussian_tree_small))
+        assert (unpickled.n, unpickled.order, unpickled.column_names) == \
+            (gaussian_tree_small.n, gaussian_tree_small.order, gaussian_tree_small.column_names)
+        for tree in (gaussian_tree_small, unpickled):
+            for name in NODE_ARRAYS + ("upper_child",):
+                assert getattr(tree, name).tobytes() == getattr(gaussian_tree_small, name).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(tree, name)[0] = 0
+                for array in base_chain(getattr(tree, name)):
+                    with pytest.raises(ValueError):
+                        array.setflags(write=True)
+
+    def test_a_count_cannot_be_rewritten_under_the_tables(self):
+        # a one-leaf 2-D tree with count 5, whose density reads the count through the derived tables
+        tree = unit_tree(d=2, count=5, n=5)
+        assert det_density_many(tree, [[0.5, 0.5]]).tolist() == [1.0]
+        with pytest.raises(ValueError):
+            tree.count.setflags(write=True)
+        assert det_density_many(tree, [[0.5, 0.5]]).tolist() == [1.0]
 
     def test_handles_read_the_arrays(self, gaussian_tree_small):
         # the node-by-node reads of bench/workloads.py, served by handles
@@ -550,14 +572,11 @@ CORRUPTIONS = {  # kind: (corruption of the node arrays, expected message)
     "counts not summing to n": (_set("count", -1, lambda a: a["count"][-1] + 1), "leaf counts sum"),
     "split dimension out of range": (_set("split_dim", 0, 7), "split dimensions"),
     "child not partitioning its parent": (_set("upper", (1, 1), lambda a: a["upper"][1, 1] - 1e-3), "partition"),
-    "upper child out of range": (_set("upper_child", 0, 10**6), "upper_child"),
-    "upper child pointing backwards": (_set("upper_child", 1, 0), "upper_child"),
-    "upper child at a leaf": (_set("upper_child", -1, 0), "upper_child"),
     "unreachable node": (_append_unreachable_leaf, "one tree"),
 }
 
 
-NODE_ARRAYS = ("lower", "upper", "split_dim", "upper_child", "count", "theta")
+NODE_ARRAYS = ("lower", "upper", "split_dim", "count", "theta")
 
 
 class TestValidateTreeRejectsCorruptArrays:
@@ -576,6 +595,77 @@ class TestValidateTreeRejectsCorruptArrays:
         tree = build_random_tree(5, n=3000, d=2)
         with pytest.raises(ValueError, match="constant-order"):
             validate_tree(dataclasses.replace(tree, order=CONST))
+
+
+@st.composite
+def preorder_flags(draw) -> list:
+    """The split flags of a random binary tree in preorder: a split
+    dimension in [0, 3) at a split, -1 at a leaf; at most 40 leaves."""
+    splits_left = draw(st.integers(0, 39))
+    flags, open_slots = [], 1
+    while open_slots:
+        if splits_left and draw(st.booleans()):
+            flags.append(draw(st.integers(0, 2)))
+            splits_left -= 1
+            open_slots += 1
+        else:
+            flags.append(-1)
+            open_slots -= 1
+    return flags
+
+
+@st.composite
+def broken_flags(draw) -> list:
+    """Split flags that are not one tree: a tree's flags truncated (to no
+    node at all, too), with a node appended, or behind a leading leaf."""
+    flags = draw(preorder_flags())
+    kind = draw(st.sampled_from(["truncated", "extra node", "leading leaf"]))
+    if kind == "truncated":
+        return flags[:draw(st.integers(0, len(flags) - 1))]
+    if kind == "extra node":
+        return flags + [draw(st.integers(-1, 2))]
+    return [-1] + flags
+
+
+def flag_tree(flags: list) -> DetTree:
+    """A 3-D tree on the unit cube with these split flags and one sample in
+    each leaf: every box is the whole cube, so only the topology can be
+    wrong, and every check of ``validate_tree`` before it passes."""
+    nodes = len(flags)
+    count = (np.array(flags, dtype=int) < 0).astype(int)
+    return DetTree(lower=np.zeros((nodes, 3)), upper=np.ones((nodes, 3)), split_dim=np.array(flags, dtype=int),
+                   count=count, theta=np.zeros((nodes, 3)), n=max(1, int(count.sum())), order=LIN)
+
+
+class TestDerivedTopology:
+    """``upper_child`` is derived from the split flags, not stored."""
+
+    @settings(max_examples=200)
+    @given(flags=preorder_flags())
+    def test_equals_the_stack_walk(self, flags):
+        tree = flag_tree(flags)
+        assert tree.upper_child.tolist() == stack_walk_upper_child(flags)
+        assert tree.upper_child.dtype == np.intp
+
+    @settings(max_examples=100)
+    @given(flags=broken_flags())
+    def test_flags_that_are_not_a_tree_raise(self, flags, tmp_path_factory):
+        assert stack_walk_upper_child(flags) is None
+        tree = flag_tree(flags)
+        path = tmp_path_factory.mktemp("broken") / "tree.json"
+        calls = (lambda: tree.upper_child, lambda: validate_tree(tree), lambda: det_density_many(tree, [[0.5] * 3]),
+                 lambda: find_conditioned_leaves(tree, Condition()),
+                 lambda: find_conditioned_leaves(tree, Condition([(0, 0.5)])),
+                 lambda: sample_unconditional(tree, 1, 10), lambda: write_tree(path, tree))
+        for call in calls:
+            with pytest.raises(ValueError, match="one tree"):
+                call()
+        assert not path.exists()
+
+    def test_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="upper_child"):
+            DetTree(lower=[[0.0]], upper=[[1.0]], split_dim=[-1], upper_child=[-1], count=[1], theta=[[0.0]], n=1,
+                    order=LIN)
 
 
 def off_midpoint_tree() -> tuple[DetTree, int]:

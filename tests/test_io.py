@@ -422,7 +422,7 @@ def _split_tree(lower, upper, theta=0.5) -> DetTree:
     two leaves of one sample each."""
     cut = lower / 2.0 + upper / 2.0
     return DetTree(lower=[[lower], [lower], [cut]], upper=[[upper], [cut], [upper]], split_dim=[0, -1, -1],
-                   upper_child=[2, -1, -1], count=[0, 1, 1], theta=[[0.0], [theta], [-0.25]], n=2,
+                   count=[0, 1, 1], theta=[[0.0], [theta], [-0.25]], n=2,
                    order=MarginalOrder.LINEAR)
 
 

@@ -1,11 +1,16 @@
+import dataclasses
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import dettree
+from dettree import BuildConfig
 
-from paired_bench import regression_verdict  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from paired_bench import format_surface, regression_verdict, simplicity_surface  # noqa: E402
 
 STEADY = [1.0, 1.0, 1.01, 1.01, 1.02, 1.0, 1.01, 0.99, 1.0, 1.02]
 NOISY = [0.6, 0.8, 1.0, 1.2, 1.4, 0.7, 0.9, 1.1, 1.3, 1.0]
@@ -29,3 +34,25 @@ class TestRegressionVerdict:
     def test_every_change_run_better_resolves_a_noisy_base(self):
         assert regression_verdict(NOISY, [0.5] * 10, True, 0.25) == "no worse"
         assert regression_verdict(NOISY, [1.5] * 10, False, 0.25) == "no worse"
+
+
+class TestSimplicitySurface:
+    def test_counts_this_checkout(self):
+        src = ROOT / "src" / "dettree"
+        assert simplicity_surface(ROOT) == {
+            "src/dettree lines": sum(len(path.read_text().splitlines()) for path in src.glob("*.py")),
+            "dettree.__all__ names": len(dettree.__all__),
+            "cli.py add_argument calls": (src / "cli.py").read_text().count(".add_argument("),
+            "BuildConfig fields": len(dataclasses.fields(BuildConfig)),
+        }
+
+    def test_a_side_whose_library_fails_to_import(self, tmp_path):
+        src = tmp_path / "src" / "dettree"
+        src.mkdir(parents=True)
+        (src / "__init__.py").write_text("raise ImportError\n")
+        (src / "cli.py").write_text("p.add_argument('--a')\np.add_argument('--b')\n")
+        surface = simplicity_surface(tmp_path)
+        assert surface == {"src/dettree lines": 3, "dettree.__all__ names": None, "cli.py add_argument calls": 2,
+                           "BuildConfig fields": None}
+        assert format_surface(surface) == ("src/dettree lines 3, dettree.__all__ names None, "
+                                           "cli.py add_argument calls 2, BuildConfig fields None")

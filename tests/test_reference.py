@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ class TestGaussianSpec:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             GaussianSpec(mu=np.zeros(2), cov=np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+    def test_covariance_near_the_float64_maximum(self):
+        # the symmetrized covariance is halved before it is summed where the sum overflows
+        cov = [[1e308, -1e308], [-1e308, 1.5e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = GaussianSpec(mu=np.zeros(2), cov=cov)
+            with pytest.raises(ValueError, match="symmetric"):
+                GaussianSpec(mu=np.zeros(2), cov=[[1.0, 1e308], [-1e308, 1.0]])
+        assert spec.cov.tolist() == cov
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError):

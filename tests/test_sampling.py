@@ -27,6 +27,7 @@ from dettree.sampling import _GUIDE_CELLS, _cumulative, _pick
 
 from conftest import (
     assert_search_matches_oracles,
+    base_chain,
     build_random_tree,
     leaf_at,
     leaf_ids,
@@ -45,7 +46,7 @@ def uniform_leaf_tree(d: int, n: int = 100) -> DetTree:
 def two_leaf_tree(count_lower: int, count_upper: int) -> DetTree:
     """Root [0,1]^2 (node 0) split along dim 0 at 0.5 into leaves 1 and 2."""
     return DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
-                   split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, count_lower, count_upper],
+                   split_dim=[0, -1, -1], count=[0, count_lower, count_upper],
                    theta=np.zeros((3, 2)), n=count_lower + count_upper, order=LIN)
 
 
@@ -358,7 +359,7 @@ class TestSampleConditional:
         with pytest.raises(ValueError, match="lo < hi"):
             sample_unconditional(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), 0, 10)
         tree = DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 0.0]],
-                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 1, 1], theta=np.zeros((3, 2)),
+                       split_dim=[0, -1, -1], count=[0, 1, 1], theta=np.zeros((3, 2)),
                        n=2, order=LIN)
         with pytest.raises(ValueError, match="lo < hi"):
             sample_conditional(tree, Condition([(0, 0.75)]), 0, 10)
@@ -384,7 +385,7 @@ class TestSampleConditional:
         # largest uniform maps onto 0.25 + top * 0.25, which rounds to the face 0.5
         # that belongs to the empty leaf.
         tree = DetTree(lower=[[0.25, 0.0], [0.25, 0.0], [0.5, 0.0]], upper=[[0.75, 1.0], [0.5, 1.0], [0.75, 1.0]],
-                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 10, 0], theta=np.zeros((3, 2)),
+                       split_dim=[0, -1, -1], count=[0, 10, 0], theta=np.zeros((3, 2)),
                        n=10, order=LIN)
         validate_tree(tree)
         top = np.nextafter(1.0, 0.0)
@@ -488,8 +489,9 @@ class TestSearchSlot:
                         array[0] = 1
                     with pytest.raises(ValueError, match="read-only"):
                         array *= 2
-                    with pytest.raises(ValueError):
-                        array.setflags(write=True)
+                    for link in base_chain(array):  # kept by the tree: no view of it may be made writeable
+                        with pytest.raises(ValueError):
+                            link.setflags(write=True)
         assert search_bytes(find_conditioned_leaves(tree, cond)) == \
             search_bytes(find_conditioned_leaves(fresh(tree), cond))
 
@@ -528,7 +530,7 @@ class TestSearchSlot:
         # on the lower face, and a condition at -0.0 itself
         theta = np.array([[0.0, 0.0], [0.6, -0.4], [-1.0, 1.0]])
         tree = DetTree(lower=[[-0.0, 0.0], [-0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
-                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 30, 70], theta=theta,
+                       split_dim=[0, -1, -1], count=[0, 30, 70], theta=theta,
                        n=100, order=LIN)
         validate_tree(tree)
         for cond in (Condition(), Condition([(1, 0.5)]), Condition([(0, -0.0)]), Condition([(0, 0.0)])):
@@ -541,7 +543,7 @@ class TestSearchSlot:
     def test_negative_zero_lower_bound_at_the_smallest_uniform(self, monkeypatch):
         # every uniform 0.0: each free coordinate is its leaf's lower face, -0.0
         tree = DetTree(lower=[[-0.0, -0.0], [-0.0, -0.0], [0.5, -0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
-                       split_dim=[0, -1, -1], upper_child=[2, -1, -1], count=[0, 10, 0],
+                       split_dim=[0, -1, -1], count=[0, 10, 0],
                        theta=[[0.0, 0.0], [0.5, -1.0], [0.0, 0.0]], n=10, order=LIN)
         validate_tree(tree)
 

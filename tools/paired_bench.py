@@ -25,12 +25,15 @@ if a run fails.
 one fresh process per side that hashes conditional draws made by that
 side's library (``CONDITIONAL_DIGEST``), which the benchmark does not hash.
 It exits 1 if an output hash, an exact count, ``fit_ise``, ``cond_ks`` or
-that digest differs between the sides.
+that digest differs between the sides. It also prints each side's
+simplicity surface (``simplicity_surface``), for information only: the
+surface does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -61,6 +64,14 @@ for i, r in enumerate(rows.tolist()):
     digest.update(found.leaves.astype(np.int64).tobytes() + found.weights.tobytes() + np.float64(found.total).tobytes())
     digest.update(dt.sample_conditional(tree, cond, 100 + i, 1000).tobytes())
 print(digest.hexdigest())
+"""
+
+# Prints [len(dettree.__all__), number of BuildConfig fields] of the library on PYTHONPATH.
+SURFACE = """
+import dataclasses, json
+import dettree
+from dettree.build import BuildConfig
+print(json.dumps([len(dettree.__all__), len(dataclasses.fields(BuildConfig))]))
 """
 
 
@@ -213,14 +224,41 @@ def compare_smoke(base: Path, change: Path, label: str) -> int:
           f"{'identical' if not differ else f'{len(differ)} differ'}")
     for line in differ:
         print(f"  {line}")
+    for side, checkout in (("base", base), ("change", change)):
+        print(f"simplicity surface, {side}: {format_surface(simplicity_surface(checkout))}")
     return 1 if differ else 0
+
+
+def simplicity_surface(checkout: Path) -> dict:
+    """The size of ``checkout``'s library: the lines of ``src/dettree``
+    (as ``wc -l`` counts them), the names in ``dettree.__all__``, the
+    ``add_argument`` calls in ``cli.py`` and the ``BuildConfig`` fields.
+    The names and the fields are counted in a fresh process on that side's
+    library, and are None where it fails."""
+    src = checkout / "src" / "dettree"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    arguments = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument" for node in ast.walk(ast.parse((src / "cli.py").read_text())))
+    proc = run_library(checkout, SURFACE)
+    exported, fields = json.loads(proc.stdout) if proc.returncode == 0 else (None, None)
+    return {"src/dettree lines": lines, "dettree.__all__ names": exported, "cli.py add_argument calls": arguments,
+            "BuildConfig fields": fields}
+
+
+def format_surface(surface: dict) -> str:
+    return ", ".join(f"{name} {value}" for name, value in surface.items())
+
+
+def run_library(checkout: Path, code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh process on ``checkout``'s library."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    return subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
 
 
 def conditional_digest(checkout: Path) -> str:
     """``CONDITIONAL_DIGEST`` run in a fresh process on ``checkout``'s library."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run([sys.executable, "-c", CONDITIONAL_DIGEST], cwd=checkout, env=env, capture_output=True,
-                          text=True, timeout=RUN_TIMEOUT_S)
+    proc = run_library(checkout, CONDITIONAL_DIGEST)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return "failed"
