@@ -19,8 +19,9 @@ order.
     upper_child    (N,)   intp      derived: id of the upper child, -1 at a leaf
 
 In preorder the split flags fix the shape, so ``upper_child`` is derived
-from ``split_dim``, not stored, and raises ValueError where the flags do
-not form one tree. Every array a tree hands out sits over an immutable
+from ``split_dim``, not stored. The constructor runs ``validate_tree``, so
+every tree, however it was made, satisfies every invariant, and no operation
+checks the tree again. Every array a tree hands out sits over an immutable
 ``bytes`` buffer, so none in its ``.base`` chain can be made writeable.
 
 A split's cut lies strictly inside its box and is stored once, as the face
@@ -33,17 +34,16 @@ This makes the leaves an exact partition of the root box, so every point
 
 Derived tables. The search, the sampler and the density read one set of
 tables that a tree derives from its node arrays on first use
-(``DetTree._tables``), after checking once that every node box has
-lower < upper. Per dimension, one contiguous row per table: the node lower
-bounds and widths; the upper bounds, with each face on the root's upper
-boundary stored as +inf so a box holds v exactly when lower <= v < upper_open;
-theta; and the sampler's quantile coefficients, of which the lower bounds
-and widths are the first two planes. Per node: the leaf flag and leaf mass
-count/n, and the density router's split dimension and cut, with at 2i and
-2i + 1 the lower and upper child of node i (i twice at a leaf, so a leaf
-routes to itself). Per leaf: its id, and per dimension one contiguous row
-of its lower bounds and one of its ``upper_open``, which the search masks.
-The node arrays never change, so the set never goes stale.
+(``DetTree._tables``). Per dimension, one contiguous row per table: the node
+lower bounds and widths; the upper bounds, with each face on the root's
+upper boundary stored as +inf so a box holds v exactly when
+lower <= v < upper_open; theta; and the sampler's quantile coefficients, of
+which the lower bounds and widths are the first two planes. Per node: the
+leaf flag and leaf mass count/n, and the density router's split dimension
+and cut, with at 2i and 2i + 1 the lower and upper child of node i (i twice
+at a leaf, so a leaf routes to itself). Per leaf: its id, and per dimension
+one contiguous row of its lower bounds and one of its ``upper_open``, which
+the search masks. The node arrays never change, so the set never goes stale.
 
 Blocks. Density and sampling work through their rows in blocks of
 ``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
@@ -110,9 +110,9 @@ class DetTree:
     the density nonnegative and the family is self-normalizing on [0, 1].
 
     The constructor takes the five stored arrays, keeps permanently
-    read-only copies and checks nothing else; ``validate_tree`` checks the
-    invariants. Density evaluation is pure, so any number of threads may
-    read concurrently.
+    read-only copies and raises ValueError unless they pass
+    ``validate_tree``. Density evaluation is pure, so any number of threads
+    may read concurrently.
     """
 
     lower: np.ndarray
@@ -130,8 +130,9 @@ class DetTree:
             # same_kind casting refuses a float count or dimension instead of truncating it
             value = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind", copy=False)
             object.__setattr__(self, name, _sealed(value))
-        names = tuple(self.column_names) or tuple(f"x{i + 1}" for i in range(self.dims))
+        names = tuple(self.column_names) or tuple(f"x{i + 1}" for i in range(self.dims if self.lower.ndim else 0))
         object.__setattr__(self, "column_names", names)
+        validate_tree(self)
 
     def __reduce__(self):  # through the constructor: unpickled arrays would own writeable data
         return DetTree, tuple(getattr(self, f.name) for f in fields(self))
@@ -167,10 +168,7 @@ class DetTree:
 
     @cached_property
     def _tables(self) -> "_NodeTables":
-        """The derived tables of the module docstring, checked and built on
-        first use. A tree that fails the check raises on every call, since
-        a raised exception is not cached."""
-        _check_widths(self.lower, self.upper)
+        """The derived tables of the module docstring, built on first use."""
         lower, upper, theta = (np.ascontiguousarray(x.T) for x in (self.lower, self.upper, self.theta))
         root_face = upper == upper[:, :1]
         # a draw is capped below an open upper face, which belongs to the neighbour
@@ -290,8 +288,8 @@ def marginal_quantile(theta, lo, hi, y):
 
 
 # Unchecked arithmetic of marginal_density and marginal_quantile, for callers
-# whose routing or RNG already guarantees the arguments: lo < hi checked once
-# per tree when its derived tables are built, x inside [lo, hi] by the
+# whose tree, routing or RNG already guarantees the arguments: lo < hi and
+# |theta| <= 1 by the tree's constructor, x inside [lo, hi] by the
 # containment convention, y in [0, 1) by the generator.
 
 
@@ -332,8 +330,8 @@ def _quantile(coef, y) -> None:
 def det_density_many(tree: DetTree, points) -> np.ndarray:
     """Estimated density at each row of an (m, d) batch: the containing
     leaf's (count/n) times its marginal densities, 0 outside the root box and
-    at NaN. Raises ValueError where a node box has no width, or where a
-    leaf's density overflows float64.
+    at NaN. Raises ValueError where a nonempty leaf's density overflows
+    float64.
 
     Rows go in blocks of ``_BLOCK_ROWS``, each converted to float64 on its
     own. A block keeps its rows inside the root box and routes them one tree

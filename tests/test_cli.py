@@ -51,6 +51,16 @@ class TestGen:
         assert ens.data.shape == (100, 2)
         assert np.all(ens.data.sum(axis=1) < 1.0)
 
+    @pytest.mark.parametrize("alpha", ["1e-300,1e-300,1e-300", "1e308,1e308,1e308"])
+    def test_dirichlet_alpha_beyond_the_sampler(self, tmp_path, capsys, alpha):
+        # once NaN or 0.0 rows and exit 0; a RuntimeWarning raised as an error was a traceback
+        path = tmp_path / "dir.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("gen", "dirichlet", "--alpha", alpha, "--n", "4", "--out", str(path)) == 2
+        assert _error_lines(capsys) == 1
+        assert not path.exists()
+
     def test_bad_alpha_syntax(self, tmp_path):
         assert run("gen", "dirichlet", "--alpha", "1.25;2", "--n", "10", "--seed", "1",
                    "--out", str(tmp_path / "x.csv")) == 1

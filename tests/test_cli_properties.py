@@ -1,23 +1,24 @@
 """Property tests of the command line: malformed CSV text, mutated tree
-documents and malformed option strings. ``main`` must return 0, 1 or 2 for
-every input and never raise. Inputs are small by construction: every number
-that can reach an array size is at most a few hundred, so no example
-allocates more than a few MB."""
+documents, malformed option strings and extreme numeric flags. ``main`` must
+return 0, 1 or 2 for every input and never raise. Inputs are small by
+construction: every number that can reach an array size is at most a few
+hundred, so no example allocates more than a few MB."""
 
 import copy
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import dettree
-from dettree import BuildConfig, Ensemble, build_tree, write_tree
+from dettree import BuildConfig, Ensemble, build_tree, read_csv, read_tree, write_csv, write_tree
 from dettree.cli import main
 
 EXIT_CODES = (0, 1, 2)
@@ -212,6 +213,81 @@ class TestMalformedOptions:
         root, _ = workspace
         run_main("validate", "--tree", root / "tree.json", "--against", against, "--params", params, "--n", n,
                  "--report", root / "r.txt")
+
+
+# --- numeric flags of gen and build -----------------------------------------
+
+# The value tokens of a numeric flag: ordinary values, the float64 extremes,
+# the smallest subnormal and non-finite values.
+NUMERIC = st.sampled_from(["0", "1", "0.5", "-1", "3", "1e-300", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf"])
+GEN_N = st.integers(0, 50)
+
+
+def numeric(*valid: str) -> st.SearchStrategy:
+    """A token of ``NUMERIC`` or, about half the time, one of ``valid``."""
+    return st.one_of(st.sampled_from(valid), NUMERIC)
+
+
+def run_strict(*argv) -> int:
+    """``run_main`` with numpy's RuntimeWarnings raised as errors: such a
+    warning marks a NaN or an overflow that would pass silently."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run_main(*argv)
+
+
+@st.composite
+def covariances(draw, d: int) -> str:
+    """A ``--cov`` text: d x d tokens, or a diagonal of tokens, which is
+    positive definite whenever its entries are positive and finite."""
+    if draw(st.booleans()):
+        rows = [[draw(NUMERIC) for _ in range(d)] for _ in range(d)]
+    else:
+        rows = [[draw(numeric("1", "2")) if i == j else "0" for j in range(d)] for i in range(d)]
+    return ";".join(",".join(row) for row in rows)
+
+
+class TestNumericFlags:
+    """Every run returns 0, 1 or 2, raises no RuntimeWarning, and a run
+    that returns 0 writes a file that reads back. Values are passed as
+    ``--flag=value``, so a token such as -1e308 reaches the flag."""
+
+    @FUZZ
+    @given(data=st.data(), d=st.integers(1, 3), n=GEN_N)
+    def test_gen_gaussian(self, workspace, data, d, n):
+        root, _ = workspace
+        mu = ",".join(data.draw(numeric("0", "1")) for _ in range(d))
+        out = root / "g.csv"
+        if run_strict("gen", "gaussian", f"--mu={mu}", f"--cov={data.draw(covariances(d))}", "--n", n,
+                      "--out", out) == 0 and n:
+            assert read_csv(out).data.shape == (n, d)
+
+    @FUZZ
+    @given(alpha=st.one_of(st.lists(numeric("0.5", "1", "2"), min_size=3, max_size=3),
+                           st.lists(NUMERIC, min_size=2, max_size=4)), n=GEN_N)
+    @example(alpha=["1e-300"] * 3, n=4)
+    @example(alpha=["1e308"] * 3, n=4)
+    def test_gen_dirichlet(self, workspace, alpha, n):
+        root, _ = workspace
+        out = root / "d.csv"
+        if run_strict("gen", "dirichlet", f"--alpha={','.join(alpha)}", "--n", n, "--out", out) == 0 and n:
+            assert read_csv(out).data.shape == (n, 2)
+
+    @FUZZ
+    @given(alpha=numeric("0.01", "0.5"), padding=numeric("1e-9", "0.1"),
+           max_depth=st.one_of(st.sampled_from(["1", "3", "40"]), st.sampled_from(["0", "41", "-1", "1e308", "nan"])),
+           min_leaf=st.one_of(st.sampled_from(["1", "10", "50"]), st.sampled_from(["0", "-1", "5e-324", "inf"])),
+           constant=st.booleans())
+    def test_build(self, workspace, alpha, padding, max_depth, min_leaf, constant):
+        root, _ = workspace
+        data = np.random.default_rng(9).standard_normal((50, 2))
+        if constant:  # a degenerate column, which only the padding widens
+            data[:, 1] = 0.0
+        write_csv(root / "b.csv", data, ["x1", "x2"])
+        out = root / "b.json"
+        if run_strict("build", "--in", root / "b.csv", "--out", out, f"--alpha={alpha}", f"--padding={padding}",
+                      f"--max-depth={max_depth}", f"--min-leaf={min_leaf}") == 0:
+            assert read_tree(out).n == 50
 
 
 # --- fresh processes --------------------------------------------------------

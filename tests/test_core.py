@@ -49,9 +49,22 @@ LIN = MarginalOrder.LINEAR
 CONST = MarginalOrder.CONSTANT
 
 
-def unit_tree(d: int = 2, count: int = 1, n=None, thetas=None, order=LIN) -> DetTree:
-    """One leaf on the unit cube holding ``count`` of ``n`` samples (default n = count)."""
-    return leaf_tree(np.zeros(d), np.ones(d), count, count if n is None else n, thetas, order)
+def unit_tree(d: int = 2, count: int = 1, thetas=None, order=LIN) -> DetTree:
+    """One leaf on the unit cube holding all ``count`` samples."""
+    return leaf_tree(np.zeros(d), np.ones(d), count, count, thetas, order)
+
+
+def share_tree(lower, upper, count: int, n: int, thetas=None) -> DetTree:
+    """Two leaves: node 1 is the box [lower, upper] holding ``count`` of the
+    ``n`` samples with slopes ``thetas``, the lower half of a root twice as
+    wide along dimension 0, whose uniform upper half holds the rest."""
+    lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
+    shift = np.zeros_like(lower)
+    shift[0] = upper[0] - lower[0]
+    theta = np.zeros((3, lower.size))
+    theta[1] = 0.0 if thetas is None else thetas
+    return DetTree(lower=[lower, lower, lower + shift], upper=[upper + shift, upper, upper + shift],
+                   split_dim=[0, -1, -1], count=[0, count, n - count], theta=theta, n=n, order=LIN)
 
 
 class TestMarginalModel:
@@ -231,9 +244,9 @@ class TestElementDensity:
         assert det_density_many(unit_tree(count=10), [[1.5, 0.5]])[0] == 0.0
 
     def test_half_count_linear(self):
-        tree = unit_tree(count=5, n=10, thetas=[1.0, 0.0])
+        tree = share_tree([0.0, 0.0], [1.0, 1.0], 5, 10, thetas=[1.0, 0.0])
         assert det_density_many(tree, [[0.5, 0.5]])[0] == 0.5
-        assert leafwise_quadrature_total(tree) == pytest.approx(0.5, abs=1e-12)
+        assert leafwise_quadrature_total(tree, leaves=[1]) == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -241,15 +254,17 @@ class TestElementDensity:
 
     def test_empty_element_requires_zero_theta(self):
         with pytest.raises(ValueError, match="theta = 0"):
-            validate_tree(unit_tree(count=0, n=1, thetas=[0.5, 0.0]))
+            share_tree([0.0, 0.0], [1.0, 1.0], 0, 1, thetas=[0.5, 0.0])
 
 
 class TestLeafMass:
     def test_ratio(self):
-        assert leaf_mass(unit_tree(count=250, n=1000).root, 1000) == 0.25
+        tree = share_tree([0.0, 0.0], [1.0, 1.0], 250, 1000)
+        assert [leaf_mass(leaf, 1000) for leaf in tree.iter_leaves()] == [0.25, 0.75]
 
     def test_empty(self):
-        assert leaf_mass(unit_tree(count=0, n=1000).root, 1000) == 0.0
+        tree = share_tree([0.0, 0.0], [1.0, 1.0], 0, 1000)
+        assert [leaf_mass(leaf, 1000) for leaf in tree.iter_leaves()] == [0.0, 1.0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_quadrature_identity(self, seed):
@@ -257,8 +272,9 @@ class TestLeafMass:
         rng = np.random.default_rng(seed)
         lower = rng.uniform(-3.0, 0.0, size=3)
         upper = lower + rng.uniform(0.5, 2.0, size=3)
-        tree = leaf_tree(lower, upper, 313, 1000, rng.uniform(-1.0, 1.0, size=3))
-        assert leafwise_quadrature_total(tree) == pytest.approx(leaf_mass(tree.root, 1000), abs=1e-10)
+        tree = share_tree(lower, upper, 313, 1000, rng.uniform(-1.0, 1.0, size=3))
+        leaf = tree.root.lower_child
+        assert leafwise_quadrature_total(tree, leaves=[leaf.id]) == pytest.approx(leaf_mass(leaf, 1000), abs=1e-10)
 
 
 class TestDetDensity:
@@ -279,9 +295,9 @@ class TestDetDensity:
             assert value == leaf_density_sum(tree, x)
 
     def test_zero_width_leaf_rejected(self):
-        # a hand-built tree that never went through validate_tree
-        with pytest.raises(ValueError, match="lo < hi"):
-            det_density_many(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), [[0.5, 0.0]])
+        # the constructor refuses the tree, so no density can be asked of it
+        with pytest.raises(ValueError, match="widths must be strictly positive"):
+            leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1)
 
     def test_dimension_mismatch(self, gaussian_tree_small):
         with pytest.raises(ValueError):
@@ -437,13 +453,9 @@ class TestDensityOverflow:
             marginal_density(0.0, 0.0, 5e-322, 1e-322)
 
     def test_overflowing_width(self):
-        # finite bounds whose width overflows float64: the box is too wide
-        wide = leaf_tree([-0.9e308], [0.9e308], 1, 1)
+        # finite bounds whose width overflows float64: the box is too wide to make a tree
         with pytest.raises(ValueError, match="widths must be finite"):
-            validate_tree(wide)
-        # unvalidated, its derived widths overflow, and so does the density
-        with pytest.raises(ValueError, match="overflows float64"), pytest.warns(RuntimeWarning):
-            det_density_many(wide, [[0.0], [0.9e308]])
+            leaf_tree([-0.9e308], [0.9e308], 1, 1)
 
     def test_unconditional_samples_stay_finite(self):
         tree, _ = subnormal_tree()
@@ -497,10 +509,14 @@ class TestTreeInvariants:
     def test_validate_tree_accepts_built_tree(self, gaussian_tree_small):
         validate_tree(gaussian_tree_small)
 
+    def test_scalar_arrays_rejected(self):
+        # the default column names once read the missing dimension axis: IndexError
+        with pytest.raises(ValueError, match=r"lower must be an \(N, d\) array"):
+            DetTree(lower=0.0, upper=1.0, split_dim=[-1], count=[1], theta=0.0, n=1, order=LIN)
+
     def test_validate_tree_rejects_bad_count(self, gaussian_tree_small):
-        tree = dataclasses.replace(gaussian_tree_small, n=gaussian_tree_small.n + 1)
         with pytest.raises(ValueError, match="leaf counts sum"):
-            validate_tree(tree)
+            dataclasses.replace(gaussian_tree_small, n=gaussian_tree_small.n + 1)
 
     def test_node_arrays_are_read_only(self, gaussian_tree_small):
         # over immutable buffers: no array in the .base chain can be made writeable again, also after a
@@ -520,7 +536,7 @@ class TestTreeInvariants:
 
     def test_a_count_cannot_be_rewritten_under_the_tables(self):
         # a one-leaf 2-D tree with count 5, whose density reads the count through the derived tables
-        tree = unit_tree(d=2, count=5, n=5)
+        tree = unit_tree(d=2, count=5)
         assert det_density_many(tree, [[0.5, 0.5]]).tolist() == [1.0]
         with pytest.raises(ValueError):
             tree.count.setflags(write=True)
@@ -585,16 +601,16 @@ class TestValidateTreeRejectsCorruptArrays:
         tree = build_random_tree(5, n=3000, d=2)
         assert tree.split_dim[1] >= 0, "need a split below the root for this seed"
         arrays = {name: getattr(tree, name).copy() for name in NODE_ARRAYS}
-        validate_tree(DetTree(**arrays, n=tree.n, order=tree.order))
+        DetTree(**arrays, n=tree.n, order=tree.order)
         corrupt, message = CORRUPTIONS[kind]
         corrupt(arrays)
         with pytest.raises(ValueError, match=message):
-            validate_tree(DetTree(**arrays, n=tree.n, order=tree.order))
+            DetTree(**arrays, n=tree.n, order=tree.order)
 
     def test_theta_in_a_constant_order_tree(self):
         tree = build_random_tree(5, n=3000, d=2)
         with pytest.raises(ValueError, match="constant-order"):
-            validate_tree(dataclasses.replace(tree, order=CONST))
+            dataclasses.replace(tree, order=CONST)
 
 
 @st.composite
@@ -629,11 +645,22 @@ def broken_flags(draw) -> list:
 
 def flag_tree(flags: list) -> DetTree:
     """A 3-D tree on the unit cube with these split flags and one sample in
-    each leaf: every box is the whole cube, so only the topology can be
-    wrong, and every check of ``validate_tree`` before it passes."""
+    each leaf: each split halves its box along its dimension, so where the
+    flags form one tree every invariant holds. Nodes past the end of one
+    tree get the whole cube."""
     nodes = len(flags)
+    lower, upper = np.zeros((nodes, 3)), np.ones((nodes, 3))
+    boxes = []  # the (lower, upper) boxes of the nodes still to come, next last
+    for node, dim in enumerate(flags):
+        if boxes:
+            lower[node], upper[node] = boxes.pop()
+        if dim >= 0:
+            cut = (lower[node, dim] + upper[node, dim]) / 2.0
+            below, above = upper[node].copy(), lower[node].copy()
+            below[dim] = above[dim] = cut
+            boxes += [(above, upper[node]), (lower[node], below)]
     count = (np.array(flags, dtype=int) < 0).astype(int)
-    return DetTree(lower=np.zeros((nodes, 3)), upper=np.ones((nodes, 3)), split_dim=np.array(flags, dtype=int),
+    return DetTree(lower=lower, upper=upper, split_dim=np.array(flags, dtype=int),
                    count=count, theta=np.zeros((nodes, 3)), n=max(1, int(count.sum())), order=LIN)
 
 
@@ -649,18 +676,10 @@ class TestDerivedTopology:
 
     @settings(max_examples=100)
     @given(flags=broken_flags())
-    def test_flags_that_are_not_a_tree_raise(self, flags, tmp_path_factory):
+    def test_flags_that_are_not_a_tree_raise(self, flags):
         assert stack_walk_upper_child(flags) is None
-        tree = flag_tree(flags)
-        path = tmp_path_factory.mktemp("broken") / "tree.json"
-        calls = (lambda: tree.upper_child, lambda: validate_tree(tree), lambda: det_density_many(tree, [[0.5] * 3]),
-                 lambda: find_conditioned_leaves(tree, Condition()),
-                 lambda: find_conditioned_leaves(tree, Condition([(0, 0.5)])),
-                 lambda: sample_unconditional(tree, 1, 10), lambda: write_tree(path, tree))
-        for call in calls:
-            with pytest.raises(ValueError, match="one tree"):
-                call()
-        assert not path.exists()
+        with pytest.raises(ValueError, match="one tree"):
+            flag_tree(flags)
 
     def test_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError, match="upper_child"):

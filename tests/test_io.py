@@ -417,7 +417,7 @@ class TestWriteTreeGolden:
 
 
 def _split_tree(lower, upper, theta=0.5) -> DetTree:
-    """An unvalidated 1-D tree: the box [lower, upper] cut at lower/2 + upper/2,
+    """A 1-D tree: the box [lower, upper] cut at lower/2 + upper/2,
     which is finite even where the midpoint (lower + upper)/2 overflows, into
     two leaves of one sample each."""
     cut = lower / 2.0 + upper / 2.0
@@ -426,12 +426,13 @@ def _split_tree(lower, upper, theta=0.5) -> DetTree:
                    order=MarginalOrder.LINEAR)
 
 
-NON_FINITE_TREES = {  # the constructor checks nothing, so these reach the writer
-    "NaN lower bound": lambda: leaf_tree([np.nan, 0.0], [1.0, 1.0], 3, 3),
-    "infinite upper bound": lambda: leaf_tree([0.0, 0.0], [1.0, np.inf], 3, 3),
-    "NaN theta": lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[np.nan]),
-    "infinite theta": lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[-np.inf]),
-    "NaN theta in a lower leaf": lambda: _split_tree(0.0, 1.0, theta=np.nan),
+NON_FINITE_TREES = {  # kind: (tree, the constructor's message), so none reaches the writer
+    "NaN lower bound": (lambda: leaf_tree([np.nan, 0.0], [1.0, 1.0], 3, 3), "box bounds must be finite"),
+    "infinite upper bound": (lambda: leaf_tree([0.0, 0.0], [1.0, np.inf], 3, 3), "box bounds must be finite"),
+    "NaN theta": (lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[np.nan]), r"theta must lie in \[-1, 1\], got nan"),
+    "infinite theta": (lambda: leaf_tree([0.0], [1.0], 3, 3, theta=[-np.inf]),
+                       r"theta must lie in \[-1, 1\], got -inf"),
+    "NaN theta in a lower leaf": (lambda: _split_tree(0.0, 1.0, theta=np.nan), r"theta must lie in \[-1, 1\]"),
 }
 
 
@@ -439,8 +440,9 @@ class TestWriteTreeRefusesNonFinite:
     @pytest.mark.parametrize("kind", list(NON_FINITE_TREES))
     def test_raises_before_opening_the_file(self, tmp_path, kind):
         path = tmp_path / "tree.json"
-        with pytest.raises(ValueError, match="finite"):
-            write_tree(path, NON_FINITE_TREES[kind]())
+        make, message = NON_FINITE_TREES[kind]
+        with pytest.raises(ValueError, match=message):
+            write_tree(path, make())
         assert not path.exists()
 
     def test_finite_split_tree_is_written(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from dettree import BuildConfig
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from paired_bench import format_surface, regression_verdict, simplicity_surface  # noqa: E402
+from paired_bench import format_surface, library_digest, regression_verdict, simplicity_surface  # noqa: E402
 
 STEADY = [1.0, 1.0, 1.01, 1.01, 1.02, 1.0, 1.01, 0.99, 1.0, 1.02]
 NOISY = [0.6, 0.8, 1.0, 1.2, 1.4, 0.7, 0.9, 1.1, 1.3, 1.0]
@@ -56,3 +57,7 @@ class TestSimplicitySurface:
                            "BuildConfig fields": None}
         assert format_surface(surface) == ("src/dettree lines 3, dettree.__all__ names None, "
                                            "cli.py add_argument calls 2, BuildConfig fields None")
+
+
+def test_library_digest_of_this_checkout():
+    assert re.fullmatch(r"[0-9a-f]{64}", library_digest(ROOT))

@@ -224,6 +224,14 @@ class TestSampleDirichlet:
         assert pts.shape == (count, 2) and pts.dtype == np.float64
         assert pts.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("alpha", [[1e-300] * 3, [1e308] * 3])
+    def test_alpha_beyond_the_sampler_raises(self, alpha):
+        # tiny alphas draw all-zero gamma rows (0 / 0 is NaN); huge ones overflow the row total (x / inf is 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to 0 or overflow float64"):
+                sample_dirichlet(DirichletSpec(alpha=alpha), 0, 4)
+
     def test_on_simplex(self):
         pts = sample_dirichlet(DirichletSpec(alpha=ALPHA), 14, 10000)
         assert np.all(pts > 0.0)

@@ -195,9 +195,11 @@ class TestSampleUnconditional:
         assert np.array_equal(pts, u[:, 1:])
 
     def test_empty_tree_rejected(self):
-        empty = leaf_tree(np.zeros(2), np.ones(2), 0, 1)
-        with pytest.raises(ValueError):
-            sample_unconditional(empty, 0, 10)
+        # no tree holds no sample: leaf counts must sum to n >= 1
+        with pytest.raises(ValueError, match="leaf counts sum to 0"):
+            leaf_tree(np.zeros(2), np.ones(2), 0, 1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            leaf_tree(np.zeros(2), np.ones(2), 0, 0)
 
 
 class TestFindConditionedLeaves:
@@ -258,22 +260,9 @@ class TestFindConditionedLeaves:
             find_conditioned_leaves(gaussian_tree_small, Condition([(7, 0.0)]))
 
     def test_zero_width_leaf_rejected(self):
-        # a hand-built tree that never went through validate_tree
-        with pytest.raises(ValueError, match="lo < hi"):
-            find_conditioned_leaves(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), Condition([(1, 0.0)]))
-        # the tree's derived tables are checked, not the leaves a call reads:
-        # every reader raises, and raises again on a second call on the same tree
-        tree = leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1)
-        calls = [
-            lambda: find_conditioned_leaves(tree, Condition([(0, 0.5)])),
-            lambda: find_conditioned_leaves(tree, Condition()),
-            lambda: det_density_many(tree, [[0.5, 0.0]]),
-            lambda: sample_unconditional(tree, 0, 10),
-            lambda: sample_conditional(tree, Condition([(1, 0.0)]), 0, 10),
-        ]
-        for call in calls + calls:
-            with pytest.raises(ValueError, match="lo < hi"):
-                call()
+        # the constructor refuses the tree, so no search can be made on it
+        with pytest.raises(ValueError, match="widths must be strictly positive"):
+            leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1)
 
 
 @st.composite
@@ -355,14 +344,12 @@ class TestSampleConditional:
             sample_conditional(gaussian_tree_small, Condition([(0, 0.0), (1, 0.0), (2, 0.0)]), 1, 10)
 
     def test_zero_width_leaf_rejected(self):
-        # a free dimension of zero width in a hand-built tree that never went through validate_tree
-        with pytest.raises(ValueError, match="lo < hi"):
-            sample_unconditional(leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1), 0, 10)
-        tree = DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 0.0]],
-                       split_dim=[0, -1, -1], count=[0, 1, 1], theta=np.zeros((3, 2)),
-                       n=2, order=LIN)
-        with pytest.raises(ValueError, match="lo < hi"):
-            sample_conditional(tree, Condition([(0, 0.75)]), 0, 10)
+        # a free dimension of zero width: the constructor refuses the tree, so no draw can be made from it
+        with pytest.raises(ValueError, match="widths must be strictly positive"):
+            leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1)
+        with pytest.raises(ValueError, match="widths must be strictly positive"):
+            DetTree(lower=[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], upper=[[1.0, 1.0], [0.5, 1.0], [1.0, 0.0]],
+                    split_dim=[0, -1, -1], count=[0, 1, 1], theta=np.zeros((3, 2)), n=2, order=LIN)
 
     def test_zero_density_condition_rejected(self):
         tree = two_leaf_tree(100, 0)

@@ -22,8 +22,9 @@ every change run beats every base run), and "no worse" otherwise. It exits 1
 if a run fails.
 
 ``--smoke`` runs ``bench/run.py --smoke`` once on each side instead, and
-one fresh process per side that hashes conditional draws made by that
-side's library (``CONDITIONAL_DIGEST``), which the benchmark does not hash.
+one fresh process per side that hashes a tree's faces, densities and
+conditional draws made by that side's library (``LIBRARY_DIGEST``), which
+the benchmark does not hash.
 It exits 1 if an output hash, an exact count, ``fit_ise``, ``cond_ks`` or
 that digest differs between the sides. It also prints each side's
 simplicity surface (``simplicity_surface``), for information only: the
@@ -46,10 +47,12 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 # metrics of a smoke run that must repeat bit for bit on both sides, besides the exact counts
 SMOKE_QUALITY = ("fit_ise", "cond_ks")
-# Prints a SHA-256 of the README's library sequence (search, marginal estimate,
-# conditional draw) through the public API: a 10^4-point tree of the README
-# Gaussian, 50 conditions on x3 and 50 on x1 and x3, 1,000 draws each.
-CONDITIONAL_DIGEST = """
+# Prints a SHA-256 of a 10^4-point tree of the README Gaussian through the
+# public API: its node boxes (every face and the root's upper corner), the
+# density at 10^4 unconditional draws, and the README's conditional sequence
+# (search, marginal estimate, conditional draw) for 50 conditions on x3 and
+# 50 on x1 and x3, 1,000 draws each.
+LIBRARY_DIGEST = """
 import hashlib
 import numpy as np
 import dettree as dt
@@ -57,7 +60,8 @@ cov = np.array([[0.35, 0.25, 0.5], [0.25, 0.4, 0.6], [0.5, 0.6, 1.0]])
 data = dt.sample_gaussian(dt.GaussianSpec(mu=np.zeros(3), cov=cov), 7, 10_000)
 tree = dt.build_tree(dt.Ensemble(data), dt.BuildConfig())
 rows = np.random.default_rng(8).integers(data.shape[0], size=100)
-digest = hashlib.sha256()
+digest = hashlib.sha256(tree.lower.tobytes() + tree.upper.tobytes())
+digest.update(dt.det_density_many(tree, dt.sample_unconditional(tree, 9, 10_000)).tobytes())
 for i, r in enumerate(rows.tolist()):
     cond = dt.Condition([(2, data[r, 2])] if i < 50 else [(0, data[r, 0]), (2, data[r, 2])])
     found = dt.find_conditioned_leaves(tree, cond)
@@ -208,9 +212,9 @@ def compare_smoke(base: Path, change: Path, label: str) -> int:
                         .get("outputs", {}) for w in metrics.ALL},
         }
     differ = []
-    digests = [conditional_digest(checkout) for checkout in (base, change)]
+    digests = [library_digest(checkout) for checkout in (base, change)]
     if "failed" in digests or digests[0] != digests[1]:
-        differ.append(f"conditional draws sha256: {digests[0]} -> {digests[1]}")
+        differ.append(f"library sha256: {digests[0]} -> {digests[1]}")
     for workload in metrics.ALL:
         for name in metrics.EXACT_COUNTS + SMOKE_QUALITY:
             key = f"{workload}:{name}"
@@ -256,9 +260,9 @@ def run_library(checkout: Path, code: str) -> subprocess.CompletedProcess:
                           timeout=RUN_TIMEOUT_S)
 
 
-def conditional_digest(checkout: Path) -> str:
-    """``CONDITIONAL_DIGEST`` run in a fresh process on ``checkout``'s library."""
-    proc = run_library(checkout, CONDITIONAL_DIGEST)
+def library_digest(checkout: Path) -> str:
+    """``LIBRARY_DIGEST`` run in a fresh process on ``checkout``'s library."""
+    proc = run_library(checkout, LIBRARY_DIGEST)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return "failed"
