@@ -34,16 +34,16 @@ This makes the leaves an exact partition of the root box, so every point
 
 Derived tables. The search, the sampler and the density read one set of
 tables that a tree derives from its node arrays on first use
-(``DetTree._tables``). Per dimension, one contiguous row per table: the node
-lower bounds and widths; the upper bounds, with each face on the root's
-upper boundary stored as +inf so a box holds v exactly when
-lower <= v < upper_open; theta; and the sampler's quantile coefficients, of
-which the lower bounds and widths are the first two planes. Per node: the
-leaf flag and leaf mass count/n, and the density router's split dimension
-and cut, with at 2i and 2i + 1 the lower and upper child of node i (i twice
-at a leaf, so a leaf routes to itself). Per leaf: its id, and per dimension
-one contiguous row of its lower bounds and one of its ``upper_open``, which
-the search masks. The node arrays never change, so the set never goes stale.
+(``DetTree._tables``). Everything they read of a leaf is stored once, in a
+column per leaf rank k = 0..L-1 in ascending leaf id: per dimension, one
+contiguous row per table of the sampler's quantile coefficients, of which
+the lower bounds and widths are the first two planes; the upper bounds,
+with each face on the root's upper boundary stored as +inf so a box holds v
+exactly when lower <= v < upper_open; and theta; per leaf, its mass count/n
+and its node id. Only the density router keeps a column per node: the leaf
+flag and leaf rank, the split dimension and cut, and at 2i and 2i + 1 the
+lower and upper child of node i (i twice at a leaf, so a leaf routes to
+itself). The node arrays never change, so the set never goes stale.
 
 Blocks. Density and sampling work through their rows in blocks of
 ``_BLOCK_ROWS``, so a call holds its output plus O(block) temporaries
@@ -169,52 +169,46 @@ class DetTree:
     @cached_property
     def _tables(self) -> "_NodeTables":
         """The derived tables of the module docstring, built on first use."""
-        lower, upper, theta = (np.ascontiguousarray(x.T) for x in (self.lower, self.upper, self.theta))
-        root_face = upper == upper[:, :1]
-        # a draw is capped below an open upper face, which belongs to the neighbour
-        cap = np.where(root_face, upper, np.nextafter(upper, lower))
-        quantile = _quantile_coefficients(theta, lower, upper, cap)
         nodes, is_leaf = np.arange(self.split_dim.size), self.split_dim < 0
         leaves = nodes[is_leaf]
-        upper_open = np.where(root_face, np.inf, upper)
+        lower, upper, theta = (np.ascontiguousarray(x[leaves].T) for x in (self.lower, self.upper, self.theta))
+        upper_open = self._upper_open(upper)
+        # a draw is capped below an open upper face, which belongs to the neighbour
+        cap = np.where(upper_open == np.inf, upper, np.nextafter(upper, lower))
         dim = np.maximum(self.split_dim, 0)
-        child = np.where(is_leaf[:, None], nodes[:, None], np.column_stack([nodes + 1, self.upper_child])).ravel()
         tables = _NodeTables(
-            quantile=quantile,
-            lower=quantile[0],
-            width=quantile[1],
+            quantile=_quantile_coefficients(theta, lower, upper, cap),
             upper_open=upper_open,
             theta=theta,
-            is_leaf=is_leaf,
+            mass=self.count[leaves] / self.n,
             leaves=leaves,
-            leaf_lower=lower[:, leaves],
-            leaf_upper_open=upper_open[:, leaves],
-            mass=self.count / self.n,
+            is_leaf=is_leaf,
+            rank=np.cumsum(is_leaf) - 1,
             dim=dim,
             cut=self.upper[(nodes + 1) % nodes.size, dim],  # a leaf routes to itself whatever it reads
-            child=child,
+            child=np.where(is_leaf[:, None], nodes[:, None], np.column_stack([nodes + 1, self.upper_child])).ravel(),
         )
         return _NodeTables._make(map(_sealed, tables))
 
+    def _upper_open(self, upper: np.ndarray) -> np.ndarray:
+        """(d, M) rows ``upper`` of box upper bounds with each face on the root's (closed) upper boundary as +inf."""
+        return np.where(upper == self.upper[0, :, None], np.inf, upper)
+
 
 class _NodeTables(NamedTuple):
-    """The (6, d, N) ``quantile`` planes lo, width, cap, a, a^2 and b that
-    the sampler passes to ``_quantile``; per-dimension node rows: (d, N)
-    ``lower`` and ``width`` (the first two planes), ``upper_open``
-    and ``theta``; per node: (N,) ``is_leaf`` and ``mass``, and the router's
-    (N,) ``dim`` and ``cut`` and (2N,) ``child``; per leaf: the (L,) ids
-    ``leaves`` and (d, L) rows ``leaf_lower`` and ``leaf_upper_open``."""
+    """Per leaf rank: the (6, d, L) ``quantile`` planes lo, width, cap, a,
+    a^2 and b of ``_quantile``, the first two the lower bounds and widths;
+    (d, L) ``upper_open`` and ``theta``; (L,) ``mass`` and node ids
+    ``leaves``. Per node, for the router: (N,) ``is_leaf``, leaf ``rank``
+    (meaningless at a split), ``dim`` and ``cut``, and (2N,) ``child``."""
 
     quantile: np.ndarray
-    lower: np.ndarray
-    width: np.ndarray
     upper_open: np.ndarray
     theta: np.ndarray
-    is_leaf: np.ndarray
-    leaves: np.ndarray
-    leaf_lower: np.ndarray
-    leaf_upper_open: np.ndarray
     mass: np.ndarray
+    leaves: np.ndarray
+    is_leaf: np.ndarray
+    rank: np.ndarray
     dim: np.ndarray
     cut: np.ndarray
     child: np.ndarray
@@ -338,10 +332,10 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
     level per array step, ``node = child[2 node + (x[dim[node]] >= cut[node])]``,
     so each row stops at the leaf that holds it under the containment
     convention. A leaf routes to itself; every few levels the rows that sit
-    at a leaf leave the routing, so a row costs its own leaf's depth rather
-    than the tree's height. ``_leaf_density`` then evaluates each row's leaf
-    at the row. A call holds its output plus O(block) temporaries, whatever
-    the dtype of ``points``.
+    at a leaf leave the routing with the leaf's rank, so a row costs its own
+    leaf's depth rather than the tree's height. ``_leaf_density`` then
+    evaluates each row's leaf at the row. A call holds its output plus
+    O(block) temporaries, whatever the dtype of ``points``.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != tree.dims:
@@ -361,10 +355,9 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
             values = np.empty(block.shape[0])
         # row r's coordinate k sits at r * d + k of the flat C-ordered block
         flat = np.ascontiguousarray(block).reshape(-1)
-        # the rows still routing, their coordinates' offset in flat, their nodes
+        # the rows still routing, their coordinates' offset in flat, their nodes; each row's leaf rank
         rows = np.arange(block.shape[0])
-        row_start, current = rows * tree.dims, np.zeros_like(rows)
-        node = np.empty_like(rows)
+        row_start, current, rank = rows * tree.dims, np.zeros_like(rows), np.empty_like(rows)
         level = 0
         while rows.size:
             at = tables.dim.take(current)
@@ -377,28 +370,28 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
             if level % 4 == 0:  # 2-8 levels measured alike; each check costs a pass
                 done = tables.is_leaf.take(current)
                 if done.any():
-                    node[rows[done]] = current[done]
+                    rank[rows[done]] = tables.rank.take(current[done])
                     keep = ~done
                     rows, row_start, current = rows[keep], row_start[keep], current[keep]
-        _leaf_density(tables, node, enumerate(block.T), values)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _leaf_density
+            _leaf_density(tables, rank, enumerate(block.T), values)
         if partial:
             out[start:start + _BLOCK_ROWS][inside] = values
     return out
 
 
-def _leaf_density(tables: _NodeTables, leaves, columns, out) -> np.ndarray:
-    """Fill and return ``out``: each leaf's mass times its marginal densities
-    at the (dim, coordinates) pairs ``columns``, which must lie in the leaf's
-    box. 0 stands at an empty leaf however narrow its box (0 times an
-    overflowed factor is NaN); a nonempty leaf whose density overflows
-    float64 raises ValueError."""
-    tables.mass.take(leaves, out=out)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for dim, x in columns:
-            out *= _density(tables.theta[dim].take(leaves), tables.lower[dim].take(leaves),
-                            tables.width[dim].take(leaves), x)
+def _leaf_density(tables: _NodeTables, ranks, columns, out) -> np.ndarray:
+    """Fill and return ``out``: the mass of each leaf rank times its marginal
+    densities at the (dim, coordinates) pairs ``columns``, which must lie in
+    the leaf's box. 0 stands at an empty leaf however narrow its box (0 times
+    an overflowed factor is NaN); a nonempty leaf whose density overflows
+    float64 raises ValueError, with numpy's warnings off by the callers."""
+    tables.mass.take(ranks, out=out)
+    coef = tables.quantile
+    for dim, x in columns:
+        out *= _density(tables.theta[dim].take(ranks), coef[0, dim].take(ranks), coef[1, dim].take(ranks), x)
     if not np.isfinite(out).all():
-        out[tables.mass.take(leaves) == 0.0] = 0.0
+        out[tables.mass.take(ranks) == 0.0] = 0.0
         if not np.isfinite(out).all():
             raise ValueError("the density overflows float64 in a nonempty leaf")
     return out

@@ -14,9 +14,10 @@ ascending dimension order. Fixed seed implies an identical output sequence.
 Concurrent sampling is safe when each strand owns its own stream (trees are
 immutable).
 
-The search masks the tree's per-leaf rows of lower and open upper bounds.
-A tree keeps its last search result, read-only, for an equal condition, so
-a draw after the search of its condition (find, then draw) searches once.
+The search masks the tree's per-leaf rows of lower and open upper bounds
+and maps the ranks of the leaves that hold the condition to leaf ids. A
+tree keeps its last search result, read-only, for an equal condition, so a
+draw after the search of its condition (find, then draw) searches once.
 Samples are made in blocks of ``_BLOCK_ROWS`` rows. Once per call the
 quantile coefficients of the candidate leaves' free dimensions are gathered
 into a leaf-local table; each block draws its rows' uniforms from the
@@ -150,9 +151,10 @@ def _cumulative(weights: np.ndarray, draws: int) -> tuple[np.ndarray, int, np.nd
     [j/G, (j+1)/G), or -1 where the keys of that cell may get different
     indices."""
     # array methods rather than np functions: a call costs less without the dispatch
-    cum = weights.cumsum()
-    if cum.size == 0 or cum[-1] <= 0.0 or (weights < 0.0).any():
-        raise ValueError("weights must be nonnegative with a positive sum")
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite sum raises below
+        cum = weights.cumsum()
+    if cum.size == 0 or not 0.0 < cum[-1] < np.inf or (weights < 0.0).any():
+        raise ValueError("weights must be nonnegative with a positive, finite sum")
     cells = 1 << (min(max(draws, 1), _GUIDE_CELLS).bit_length() - 1)
     bounds = _GUIDE_FRACTIONS[::_GUIDE_CELLS // cells] * cum[-1]
     guide = cum.searchsorted(bounds, side="right")
@@ -196,7 +198,7 @@ def find_conditioned_leaves(
     a value, in ascending order, which is the depth-first preorder; the empty
     condition visits every node. A call with it masks every node box and
     bypasses the kept result. Raises ValueError where a nonempty leaf's
-    weight overflows float64.
+    weight, or the sum of the weights, overflows float64.
     """
     tables = tree._tables
     for dim, value in cond.entries:
@@ -209,28 +211,32 @@ def find_conditioned_leaves(
         return last[1]
 
     if on_visit is None:
-        leaves = _holding(tables.leaves, tables.leaf_lower, tables.leaf_upper_open, cond.entries)
+        ranks = _holding(tables.quantile[0], tables.upper_open, cond.entries)
     else:
-        visited = _holding(np.arange(tables.mass.size), tables.lower, tables.upper_open, cond.entries)
-        leaves = visited[tables.is_leaf[visited]]
+        visited = _holding(tree.lower.T, tree._upper_open(tree.upper.T), cond.entries)
+        ranks = tables.rank.take(visited.compress(tables.is_leaf.take(visited)))
         for node in visited.tolist():
             on_visit(node)
-    weights = _leaf_density(tables, leaves, cond.entries, np.empty(leaves.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _leaf_density or below
+        weights = _leaf_density(tables, ranks, cond.entries, np.empty(ranks.size))
+        total = float(weights.sum())
+    if total == np.inf:  # finite, nonnegative weights: the only way their sum fails
+        raise ValueError("the conditional density estimate overflows float64")
     # kept by the tree, so over immutable buffers: no array in their .base chains can be made writeable
-    found = WeightedLeafSet(_sealed(leaves), _sealed(weights), float(weights.sum()))
+    found = WeightedLeafSet(_sealed(tables.leaves.take(ranks)), _sealed(weights), total)
     if on_visit is None:
         object.__setattr__(tree, "_last_search", (cond, found))  # one assignment: safe between threads
     return found
 
 
-def _holding(ids: np.ndarray, lower: np.ndarray, upper_open: np.ndarray, entries) -> np.ndarray:
-    """The ``ids`` of the boxes, (d, M) rows ``lower`` and ``upper_open``, that hold every value."""
-    keep = None
+def _holding(lower: np.ndarray, upper_open: np.ndarray, entries) -> np.ndarray:
+    """The columns of the (d, M) box rows ``lower`` and ``upper_open`` that hold every value."""
+    keep = np.empty(lower.shape[1], dtype=bool)
+    keep.fill(True)  # np.ones, a Python-level wrapper, costs more on a small array
     for dim, value in entries:
-        inside = lower[dim] <= value
-        inside &= value < upper_open[dim]
-        keep = inside if keep is None else np.logical_and(keep, inside, out=keep)
-    return ids if keep is None else ids.compress(keep)
+        keep &= lower[dim] <= value
+        keep &= value < upper_open[dim]
+    return keep.nonzero()[0]
 
 
 def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) -> np.ndarray:
@@ -254,8 +260,8 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     cum, last, guide = _cumulative(leaf_set.weights, count)
     # the leaf-local table: the (6, k, free) quantile coefficients of the k candidate
     # leaves, by (leaf, free dimension) pair; the generator keeps every uniform in [0, 1)
-    coefficients = tree._tables.quantile
-    local = coefficients.reshape(len(coefficients), -1).take(free * coefficients.shape[2] + leaf_set.leaves[:, None], 1)
+    coefficients, ranks = tree._tables.quantile, tree._tables.rank.take(leaf_set.leaves)
+    local = coefficients.reshape(len(coefficients), -1).take(free * coefficients.shape[2] + ranks[:, None], 1)
     out = np.empty((count, d))
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)

@@ -265,6 +265,23 @@ class TestOverflowingDensity:
         err = capsys.readouterr().err
         assert "overflows float64" in err and "Traceback" not in err and "Warning" not in err
 
+    def test_conditional_estimate_overflow(self, tmp_path, capsys):
+        # each leaf weight on the x1-x2 slab is finite, but their sum overflows float64:
+        # the draws once all came from the last leaves of the cumulative search
+        rng = np.random.default_rng(0)
+        data = tmp_path / "slab.csv"
+        write_csv(data, np.column_stack([rng.uniform(0.0, 6e-155, (5000, 2)), rng.standard_normal(5000)]),
+                  ["x1", "x2", "x3"])
+        tree, out = tmp_path / "slab.json", tmp_path / "out.csv"
+        assert run("build", "--in", str(data), "--out", str(tree)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sample", "--tree", str(tree), "--n", "2000", "--seed", "1",
+                       "--cond", "1=3e-155", "--cond", "2=3e-155", "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: the conditional density estimate overflows float64"]
+
 
 class TestValidate:
     def test_gaussian_validation_passes(self, tmp_path):

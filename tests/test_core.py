@@ -447,6 +447,19 @@ class TestDensityOverflow:
         with pytest.raises(ValueError, match="overflows float64"):
             sample_conditional(tree, cond, 1, 10)
 
+    def test_conditional_estimate_overflow_raises(self):
+        # a 3-D root of width 6.3e-155 in x1 and x2, split in x3 into two one-sample leaves:
+        # each weight, 0.5 / 6.3e-155^2 = 1.26e308, is finite, but their sum is not
+        w = 6.3e-155
+        tree = DetTree(lower=[[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]],
+                       upper=[[w, w, 1.0], [w, w, 0.0], [w, w, 1.0]], split_dim=[2, -1, -1],
+                       count=[0, 1, 1], theta=np.zeros((3, 3)), n=2, order=LIN)
+        cond = Condition([(0, w / 2), (1, w / 2)])
+        with pytest.raises(ValueError, match="estimate overflows float64"):
+            find_conditioned_leaves(tree, cond)
+        with pytest.raises(ValueError, match="estimate overflows float64"):
+            sample_conditional(tree, cond, 1, 8)
+
     def test_marginal_density_raises(self):
         # a subnormal width: 1 / 5e-322 exceeds the float64 range
         with pytest.raises(ValueError, match="overflows float64"):
@@ -541,6 +554,19 @@ class TestTreeInvariants:
         with pytest.raises(ValueError):
             tree.count.setflags(write=True)
         assert det_density_many(tree, [[0.5, 0.5]]).tolist() == [1.0]
+
+    def test_derived_tables_hold_each_leaf_value_once(self, gaussian_tree_small):
+        tree = gaussian_tree_small
+        tables = tree._tables
+        nodes, d = tree.lower.shape
+        leaves = leaf_ids(tree).size
+        # per leaf: 6 quantile planes, upper_open and theta per dimension, mass and id;
+        # per node: the router's leaf flag, rank, dim, cut and two children
+        assert sum(a.nbytes for a in tables) == 8 * leaves * (8 * d + 2) + nodes * (1 + 8 * 5)
+        assert np.array_equal(tables.leaves, leaf_ids(tree))
+        assert np.array_equal(tables.rank[tables.leaves], np.arange(leaves))
+        assert np.array_equal(tables.quantile[0], tree.lower[tables.leaves].T)
+        assert np.array_equal(tables.quantile[1], (tree.upper - tree.lower)[tables.leaves].T)
 
     def test_handles_read_the_arrays(self, gaussian_tree_small):
         # the node-by-node reads of bench/workloads.py, served by handles

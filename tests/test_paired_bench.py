@@ -11,7 +11,13 @@ from dettree import BuildConfig
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from paired_bench import format_surface, library_digest, regression_verdict, simplicity_surface  # noqa: E402
+from paired_bench import (  # noqa: E402
+    LIBRARY_TREE,
+    format_surface,
+    library_digest,
+    regression_verdict,
+    simplicity_surface,
+)
 
 STEADY = [1.0, 1.0, 1.01, 1.01, 1.02, 1.0, 1.01, 0.99, 1.0, 1.02]
 NOISY = [0.6, 0.8, 1.0, 1.2, 1.4, 0.7, 0.9, 1.1, 1.3, 1.0]
@@ -40,11 +46,14 @@ class TestRegressionVerdict:
 class TestSimplicitySurface:
     def test_counts_this_checkout(self):
         src = ROOT / "src" / "dettree"
+        namespace = {}
+        exec(LIBRARY_TREE, namespace)
         assert simplicity_surface(ROOT) == {
             "src/dettree lines": sum(len(path.read_text().splitlines()) for path in src.glob("*.py")),
             "dettree.__all__ names": len(dettree.__all__),
             "cli.py add_argument calls": (src / "cli.py").read_text().count(".add_argument("),
             "BuildConfig fields": len(dataclasses.fields(BuildConfig)),
+            "derived table bytes": sum(a.nbytes for a in namespace["tree"]._tables),
         }
 
     def test_a_side_whose_library_fails_to_import(self, tmp_path):
@@ -54,9 +63,10 @@ class TestSimplicitySurface:
         (src / "cli.py").write_text("p.add_argument('--a')\np.add_argument('--b')\n")
         surface = simplicity_surface(tmp_path)
         assert surface == {"src/dettree lines": 3, "dettree.__all__ names": None, "cli.py add_argument calls": 2,
-                           "BuildConfig fields": None}
+                           "BuildConfig fields": None, "derived table bytes": None}
         assert format_surface(surface) == ("src/dettree lines 3, dettree.__all__ names None, "
-                                           "cli.py add_argument calls 2, BuildConfig fields None")
+                                           "cli.py add_argument calls 2, BuildConfig fields None, "
+                                           "derived table bytes None")
 
 
 def test_library_digest_of_this_checkout():

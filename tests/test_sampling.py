@@ -2,6 +2,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,14 @@ class TestCategoricalPick:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             categorical_pick([2.0, -1.0], 0.5)
+
+    @pytest.mark.parametrize("weights", [[1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1e308, 1e308]])
+    def test_nan_or_infinite_sum_rejected(self, weights):
+        # once [2, 2, 2] for the NaN, and numpy warnings for the infinite sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite sum"):
+                categorical_pick(weights, [0.1, 0.5, 0.9])
 
     def test_zero_weight_entries_never_picked(self):
         u = np.linspace(0.0, 1.0, 1001)[:-1]

@@ -47,18 +47,21 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 # metrics of a smoke run that must repeat bit for bit on both sides, besides the exact counts
 SMOKE_QUALITY = ("fit_ise", "cond_ks")
-# Prints a SHA-256 of a 10^4-point tree of the README Gaussian through the
-# public API: its node boxes (every face and the root's upper corner), the
-# density at 10^4 unconditional draws, and the README's conditional sequence
-# (search, marginal estimate, conditional draw) for 50 conditions on x3 and
-# 50 on x1 and x3, 1,000 draws each.
-LIBRARY_DIGEST = """
-import hashlib
+# Builds ``tree`` from ``data``, 10^4 draws of the README Gaussian, through the public API.
+LIBRARY_TREE = """
 import numpy as np
 import dettree as dt
 cov = np.array([[0.35, 0.25, 0.5], [0.25, 0.4, 0.6], [0.5, 0.6, 1.0]])
 data = dt.sample_gaussian(dt.GaussianSpec(mu=np.zeros(3), cov=cov), 7, 10_000)
 tree = dt.build_tree(dt.Ensemble(data), dt.BuildConfig())
+"""
+
+# Prints a SHA-256 of that tree's node boxes (every face and the root's upper
+# corner), the density at 10^4 unconditional draws, and the README's
+# conditional sequence (search, marginal estimate, conditional draw) for 50
+# conditions on x3 and 50 on x1 and x3, 1,000 draws each.
+LIBRARY_DIGEST = LIBRARY_TREE + """
+import hashlib
 rows = np.random.default_rng(8).integers(data.shape[0], size=100)
 digest = hashlib.sha256(tree.lower.tobytes() + tree.upper.tobytes())
 digest.update(dt.det_density_many(tree, dt.sample_unconditional(tree, 9, 10_000)).tobytes())
@@ -70,14 +73,14 @@ for i, r in enumerate(rows.tolist()):
 print(digest.hexdigest())
 """
 
-# Prints [len(dettree.__all__), number of BuildConfig fields] of the library on PYTHONPATH.
-SURFACE = """
+# Prints [len(dettree.__all__), number of BuildConfig fields, bytes of the
+# LIBRARY_TREE tree's derived tables (None where the tree has none)].
+SURFACE = LIBRARY_TREE + """
 import dataclasses, json
-import dettree
-from dettree.build import BuildConfig
-print(json.dumps([len(dettree.__all__), len(dataclasses.fields(BuildConfig))]))
+tables = getattr(tree, "_tables", None)
+table_bytes = None if tables is None else sum(a.nbytes for a in tables)
+print(json.dumps([len(dt.__all__), len(dataclasses.fields(dt.BuildConfig)), table_bytes]))
 """
-
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -236,17 +239,18 @@ def compare_smoke(base: Path, change: Path, label: str) -> int:
 def simplicity_surface(checkout: Path) -> dict:
     """The size of ``checkout``'s library: the lines of ``src/dettree``
     (as ``wc -l`` counts them), the names in ``dettree.__all__``, the
-    ``add_argument`` calls in ``cli.py`` and the ``BuildConfig`` fields.
-    The names and the fields are counted in a fresh process on that side's
-    library, and are None where it fails."""
+    ``add_argument`` calls in ``cli.py``, the ``BuildConfig`` fields and the
+    bytes of the derived tables (``DetTree._tables``) of the
+    ``LIBRARY_TREE`` tree. The names, the fields and the bytes are counted in
+    a fresh process on that side's library, and are None where it fails."""
     src = checkout / "src" / "dettree"
     lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
     arguments = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "add_argument" for node in ast.walk(ast.parse((src / "cli.py").read_text())))
     proc = run_library(checkout, SURFACE)
-    exported, fields = json.loads(proc.stdout) if proc.returncode == 0 else (None, None)
+    exported, fields, table_bytes = json.loads(proc.stdout) if proc.returncode == 0 else (None, None, None)
     return {"src/dettree lines": lines, "dettree.__all__ names": exported, "cli.py add_argument calls": arguments,
-            "BuildConfig fields": fields}
+            "BuildConfig fields": fields, "derived table bytes": table_bytes}
 
 
 def format_surface(surface: dict) -> str:
