@@ -238,6 +238,16 @@ def _sealed(array: np.ndarray) -> np.ndarray:
     return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
 
 
+def _checked_count(count) -> int:
+    """A draw count as an int: TypeError unless it is an integer (a bool is
+    not), ValueError where it is negative."""
+    if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)):
+        raise TypeError(f"count must be an integer, got {type(count).__name__}")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return int(count)
+
+
 def marginal_density(theta, lo, hi, x):
     """Density p[x | theta] = (1 + theta*(2t - 1)) / (hi - lo) with
     t = (x - lo)/(hi - lo). Nonnegative on [lo, hi] and integrates to one.
@@ -324,8 +334,8 @@ def _quantile(coef, y) -> None:
 def det_density_many(tree: DetTree, points) -> np.ndarray:
     """Estimated density at each row of an (m, d) batch: the containing
     leaf's (count/n) times its marginal densities, 0 outside the root box and
-    at NaN. Raises ValueError where a nonempty leaf's density overflows
-    float64.
+    at NaN. Raises TypeError for complex points and ValueError where a
+    nonempty leaf's density overflows float64.
 
     Rows go in blocks of ``_BLOCK_ROWS``, each converted to float64 on its
     own. A block keeps its rows inside the root box and routes them one tree
@@ -338,6 +348,8 @@ def det_density_many(tree: DetTree, points) -> np.ndarray:
     O(block) temporaries, whatever the dtype of ``points``.
     """
     pts = np.asarray(points)
+    if pts.dtype.kind == "c":  # converting would drop the imaginary parts
+        raise TypeError("points must be real, not complex")
     if pts.ndim != 2 or pts.shape[1] != tree.dims:
         raise ValueError(f"points must have shape (m, {tree.dims})")
     tables = tree._tables

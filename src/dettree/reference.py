@@ -5,6 +5,13 @@ and the analytic conditionals that serve as oracles.
 This is the one module that uses scipy, and it imports it inside the
 functions that need it, so building, sampling and density evaluation never
 load scipy.
+
+The two samplers fill a preallocated output in blocks of ``_BLOCK_ROWS``
+rows, so a draw holds its output plus O(block) temporaries. numpy's
+generator fills arrays in C order, so the blocks consume the stream in the
+order one whole-array draw would. The Gaussian's product with the Cholesky
+factor rounds alike in any block of two or more rows, and a lone last row
+joins the block before it, so the output does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .core import _BLOCK_ROWS, _checked_count
 
 if TYPE_CHECKING:  # an annotation only: generating reference data loads no sampler
     from .sampling import Condition
@@ -96,12 +105,19 @@ def gaussian_pdf(spec: GaussianSpec, x) -> "np.ndarray | float":
 
 def sample_gaussian(spec: GaussianSpec, seed: int, count: int) -> np.ndarray:
     """x = mu + L z with z standard normal, one row of draws per sample."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = _checked_count(count)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((count, spec.dims)) @ spec.chol.T
-    x += spec.mu  # in place: no third (count, d) array; addition commutes, so the bits match mu + z L'
-    return x
+    out = np.empty((count, spec.dims))
+    start = 0
+    while start < count:
+        # a one-row product runs through BLAS gemv, whose bits differ from the
+        # gemm of more rows: a lone last row joins the block before it
+        stop = count if count - start <= _BLOCK_ROWS + 1 else start + _BLOCK_ROWS
+        block = out[start:stop]
+        np.matmul(rng.standard_normal(block.shape), spec.chol.T, out=block)
+        block += spec.mu  # addition commutes, so the bits match mu + z L'
+        start = stop
+    return out
 
 
 def gaussian_conditional(spec: GaussianSpec, cond: Condition) -> GaussianSpec:
@@ -173,17 +189,18 @@ def sample_dirichlet(spec: DirichletSpec, seed: int, count: int) -> np.ndarray:
     and above one. Returns a (count, 2) array on the simplex; ValueError where
     a row's variates sum to 0 or overflow float64 (tiny or huge alphas).
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = _checked_count(count)
     rng = np.random.default_rng(seed)
-    g = rng.standard_gamma(spec.alpha, size=(count, 3))  # the stream and bits of gamma() with scale 1
-    with np.errstate(over="ignore"):  # an overflowed total is refused below
-        total = g.sum(axis=1)
-    if not np.all((total > 0.0) & (total < np.inf)):
-        raise ValueError("alpha is out of the sampler's range: a row's gamma variates sum to 0 or overflow float64")
     out = np.empty((count, 2))
-    for j in range(2):  # column by column: a broadcast division over (count, 2) costs more
-        np.divide(g[:, j], total, out=out[:, j])
+    for start in range(0, count, _BLOCK_ROWS):
+        block = out[start:start + _BLOCK_ROWS]
+        g = rng.standard_gamma(spec.alpha, size=(block.shape[0], 3))  # the stream and bits of gamma() with scale 1
+        with np.errstate(over="ignore"):  # an overflowed total is refused below
+            total = g.sum(axis=1)
+        if not np.all((total > 0.0) & (total < np.inf)):
+            raise ValueError("alpha is out of the sampler's range: a row's gamma variates sum to 0 or overflow float64")
+        for j in range(2):  # column by column: a broadcast division over (rows, 2) costs more
+            np.divide(g[:, j], total, out=block[:, j])
     return out
 
 

@@ -15,9 +15,10 @@ Concurrent sampling is safe when each strand owns its own stream (trees are
 immutable).
 
 The search masks the tree's per-leaf rows of lower and open upper bounds
-and maps the ranks of the leaves that hold the condition to leaf ids. A
-tree keeps its last search result, read-only, for an equal condition, so a
-draw after the search of its condition (find, then draw) searches once.
+and maps the ranks of the leaves that hold the condition to leaf ids; the
+result keeps the ranks too, for the sampler's table gather. A tree keeps
+its last search result, read-only, for an equal condition, so a draw after
+the search of its condition (find, then draw) searches once.
 Samples are made in blocks of ``_BLOCK_ROWS`` rows. Once per call the
 quantile coefficients of the candidate leaves' free dimensions are gathered
 into a leaf-local table; each block draws its rows' uniforms from the
@@ -41,12 +42,12 @@ search, so the output does not depend on G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, DetTree, _leaf_density, _quantile, _sealed
+from .core import _BLOCK_ROWS, DetTree, _checked_count, _leaf_density, _quantile, _sealed
 
 __all__ = [
     "Condition",
@@ -129,6 +130,8 @@ class WeightedLeafSet:
     leaves: np.ndarray
     weights: np.ndarray
     total: float
+    # the leaves' ranks in the tree's derived tables, set by the search for the sampler
+    _ranks: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def categorical_pick(weights, u) -> np.ndarray:
@@ -222,8 +225,9 @@ def find_conditioned_leaves(
         total = float(weights.sum())
     if total == np.inf:  # finite, nonnegative weights: the only way their sum fails
         raise ValueError("the conditional density estimate overflows float64")
-    # kept by the tree, so over immutable buffers: no array in their .base chains can be made writeable
-    found = WeightedLeafSet(_sealed(tables.leaves.take(ranks)), _sealed(weights), total)
+    # kept by the tree, so the public arrays sit over immutable buffers: no array in their .base
+    # chains can be made writeable; the ranks are private to the sampler
+    found = WeightedLeafSet(_sealed(tables.leaves.take(ranks)), _sealed(weights), total, ranks)
     if on_visit is None:
         object.__setattr__(tree, "_last_search", (cond, found))  # one assignment: safe between threads
     return found
@@ -243,10 +247,10 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     """Draw points with the conditioned coordinates fixed at the prescribed
     values (bit-identical in the output) and the free coordinates drawn by
     inverse transform through the selected leaf's marginal quantiles. An
-    empty condition draws from the full tree density.
+    empty condition draws from the full tree density. Raises TypeError
+    unless ``count`` is an integer.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = _checked_count(count)
     d = tree.dims
     if len(cond) >= d:
         raise ValueError("conditional sampling needs at least one free dimension")
@@ -260,8 +264,8 @@ def sample_conditional(tree: DetTree, cond: Condition, seed: int, count: int) ->
     cum, last, guide = _cumulative(leaf_set.weights, count)
     # the leaf-local table: the (6, k, free) quantile coefficients of the k candidate
     # leaves, by (leaf, free dimension) pair; the generator keeps every uniform in [0, 1)
-    coefficients, ranks = tree._tables.quantile, tree._tables.rank.take(leaf_set.leaves)
-    local = coefficients.reshape(len(coefficients), -1).take(free * coefficients.shape[2] + ranks[:, None], 1)
+    coefficients = tree._tables.quantile
+    local = coefficients.reshape(len(coefficients), -1).take(free * coefficients.shape[2] + leaf_set._ranks[:, None], 1)
     out = np.empty((count, d))
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)

@@ -11,6 +11,7 @@ from dettree import (
     BuildConfig,
     Condition,
     DetTree,
+    DirichletSpec,
     Ensemble,
     GaussianSpec,
     MarginalOrder,
@@ -208,6 +209,20 @@ def reference_sample_conditional(tree: DetTree, cond: Condition, seed: int, coun
     for dim, value in cond.entries:
         out[:, dim] = value
     return out
+
+
+def reference_sample_gaussian(spec: GaussianSpec, seed: int, count: int) -> np.ndarray:
+    """Whole-array reference draw: every standard normal at once, mu + z L'.
+    The library's block-wise generator must equal it byte for byte."""
+    return spec.mu + np.random.default_rng(seed).standard_normal((count, spec.dims)) @ spec.chol.T
+
+
+def reference_sample_dirichlet(spec: DirichletSpec, seed: int, count: int) -> np.ndarray:
+    """Whole-array reference draw: every gamma variate at once (numpy's
+    ``gamma`` with scale 1), each row's first two divided by its total. The
+    library's block-wise generator must equal it byte for byte."""
+    g = np.random.default_rng(seed).gamma(shape=spec.alpha, size=(count, 3))
+    return g[:, :2] / g.sum(axis=1, keepdims=True)
 
 
 def reference_det_density_many(tree: DetTree, points) -> np.ndarray:

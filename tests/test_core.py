@@ -299,6 +299,17 @@ class TestDetDensity:
         with pytest.raises(ValueError, match="widths must be strictly positive"):
             leaf_tree([0.0, 0.0], [1.0, 0.0], 1, 1)
 
+    def test_complex_points_raise_type_error(self, gaussian_tree_small):
+        # refused by dtype before any block is converted, so no ComplexWarning escapes and no
+        # imaginary part is dropped, even where it sits in a later block or is zero
+        points = np.zeros((2 * _BLOCK_ROWS, 3), dtype=complex)
+        points[-1, 2] = 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for batch in (points, points.real.astype(complex), [[0.0, 0.0, 1j]]):
+                with pytest.raises(TypeError, match="complex"):
+                    det_density_many(gaussian_tree_small, batch)
+
     def test_dimension_mismatch(self, gaussian_tree_small):
         with pytest.raises(ValueError):
             det_density_many(gaussian_tree_small, [[0.0, 0.0]])

@@ -19,11 +19,14 @@ from dettree import (
     sample_gaussian,
 )
 
+from dettree.core import _BLOCK_ROWS
 from dettree.reference import dirichlet_marginal_cdf
 
-from conftest import REF_COV
+from conftest import REF_COV, reference_sample_dirichlet, reference_sample_gaussian
 
 ALPHA = np.array([1.25, 2.0, 0.75])
+# around one and two blocks of the generators; a one-row last block included
+BLOCK_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
 
 
 def det3_cofactor(m):
@@ -121,6 +124,17 @@ class TestSampleGaussian:
     def test_deterministic(self, ref_gaussian):
         assert np.array_equal(sample_gaussian(ref_gaussian, 4, 100), sample_gaussian(ref_gaussian, 4, 100))
 
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_bytes_of_the_whole_array_draw(self, d, count):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        spec = GaussianSpec(mu=rng.standard_normal(d), cov=a @ a.T + 0.1 * np.eye(d))
+        for seed in (0, 2**40 + 3):
+            pts = sample_gaussian(spec, seed, count)
+            assert pts.shape == (count, d) and pts.dtype == np.float64
+            assert pts.tobytes() == reference_sample_gaussian(spec, seed, count).tobytes()
+
     def test_shift_in_place(self):
         spec = GaussianSpec(mu=np.array([1.5, -2.25, 0.1]), cov=REF_COV)
         sample_gaussian(spec, 0, 10)  # first-call allocations of the generator and matmul
@@ -130,10 +144,9 @@ class TestSampleGaussian:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        z = np.random.default_rng(3).standard_normal((200_000, 3))
-        assert pts.tobytes() == (spec.mu + z @ spec.chol.T).tobytes()
-        # the draws and their product with the Cholesky factor, no third array
-        assert peak <= 2 * pts.nbytes + 65536
+        assert pts.tobytes() == reference_sample_gaussian(spec, 3, 200_000).tobytes()
+        # the output plus one block's draws
+        assert peak <= pts.nbytes + 2**20
 
 
 class TestGaussianConditional:
@@ -214,15 +227,25 @@ class TestSampleDirichlet:
     def test_zero_count(self):
         assert sample_dirichlet(DirichletSpec(alpha=ALPHA), 0, 0).shape == (0, 2)
 
-    @pytest.mark.parametrize("count", [0, 1, 100_000])
+    @pytest.mark.parametrize("count", BLOCK_COUNTS + [100_000])
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
     def test_bytes_of_the_gamma_ratio(self, seed, count):
-        # the normalised gamma draws of numpy's gamma() with scale 1, divided by the row totals
-        g = np.random.default_rng(seed).gamma(shape=ALPHA, size=(count, 3))
-        expected = g[:, :2] / g.sum(axis=1, keepdims=True)
-        pts = sample_dirichlet(DirichletSpec(alpha=ALPHA), seed, count)
+        spec = DirichletSpec(alpha=ALPHA)
+        pts = sample_dirichlet(spec, seed, count)
         assert pts.shape == (count, 2) and pts.dtype == np.float64
-        assert pts.tobytes() == expected.tobytes()
+        assert pts.tobytes() == reference_sample_dirichlet(spec, seed, count).tobytes()
+
+    def test_peak_is_the_output_plus_one_block(self):
+        spec = DirichletSpec(alpha=ALPHA)
+        sample_dirichlet(spec, 0, 10)  # first-call allocations of the generator
+        tracemalloc.start()
+        try:
+            pts = sample_dirichlet(spec, 3, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.tobytes() == reference_sample_dirichlet(spec, 3, 200_000).tobytes()
+        assert peak <= pts.nbytes + 2**20
 
     @pytest.mark.parametrize("alpha", [[1e-300] * 3, [1e308] * 3])
     def test_alpha_beyond_the_sampler_raises(self, alpha):
@@ -272,6 +295,23 @@ class TestSampleDirichlet:
         pts = sample_dirichlet(DirichletSpec(alpha=ALPHA), 34, 10000)
         res = ks_test(pts[:, 0], beta(1.25, 2.75).cdf)
         assert res.p_value > 0.01
+
+
+@pytest.mark.parametrize("sample, spec", [(sample_gaussian, GaussianSpec(mu=np.zeros(2), cov=np.eye(2))),
+                                          (sample_dirichlet, DirichletSpec(alpha=ALPHA))])
+class TestCount:
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), None, "3"])
+    def test_non_integer_count_raises_type_error(self, sample, spec, count):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            sample(spec, 0, count)
+
+    def test_numpy_integer_count(self, sample, spec):
+        assert sample(spec, 4, np.int64(5)).tobytes() == sample(spec, 4, 5).tobytes()
+        assert sample(spec, 4, np.uint8(5)).tobytes() == sample(spec, 4, 5).tobytes()
+
+    def test_negative_count_raises_value_error(self, sample, spec):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample(spec, 0, -1)
 
 
 class TestDirichletMarginalCdf:

@@ -203,6 +203,22 @@ class TestSampleUnconditional:
         u = np.random.default_rng(42).random((5, 3))
         assert np.array_equal(pts, u[:, 1:])
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), None, "3"])
+    def test_non_integer_count_raises_type_error(self, gaussian_tree_small, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="count must be an integer"):
+                sample_unconditional(gaussian_tree_small, 1, count)
+            with pytest.raises(TypeError, match="count must be an integer"):
+                sample_conditional(gaussian_tree_small, Condition([(2, 0.3)]), 1, count)
+
+    def test_numpy_integer_count(self, gaussian_tree_small):
+        tree, cond = gaussian_tree_small, Condition([(2, 0.3)])
+        for count in (np.int64(700), np.uint16(700)):
+            assert sample_unconditional(tree, 3, count).tobytes() == sample_unconditional(tree, 3, 700).tobytes()
+            assert sample_conditional(tree, cond, 3, count).tobytes() == \
+                reference_sample_conditional(tree, cond, 3, 700).tobytes()
+
     def test_empty_tree_rejected(self):
         # no tree holds no sample: leaf counts must sum to n >= 1
         with pytest.raises(ValueError, match="leaf counts sum to 0"):

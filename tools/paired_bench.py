@@ -22,9 +22,9 @@ every change run beats every base run), and "no worse" otherwise. It exits 1
 if a run fails.
 
 ``--smoke`` runs ``bench/run.py --smoke`` once on each side instead, and
-one fresh process per side that hashes a tree's faces, densities and
-conditional draws made by that side's library (``LIBRARY_DIGEST``), which
-the benchmark does not hash.
+one fresh process per side that hashes reference draws across block
+boundaries and a tree's faces, densities and conditional draws made by
+that side's library (``LIBRARY_DIGEST``), which the benchmark does not hash.
 It exits 1 if an output hash, an exact count, ``fit_ise``, ``cond_ks`` or
 that digest differs between the sides. It also prints each side's
 simplicity surface (``simplicity_surface``), for information only: the
@@ -56,14 +56,18 @@ data = dt.sample_gaussian(dt.GaussianSpec(mu=np.zeros(3), cov=cov), 7, 10_000)
 tree = dt.build_tree(dt.Ensemble(data), dt.BuildConfig())
 """
 
-# Prints a SHA-256 of that tree's node boxes (every face and the root's upper
-# corner), the density at 10^4 unconditional draws, and the README's
+# Prints a SHA-256 of a Gaussian and a Dirichlet draw of 2 * 8,192 + 1 rows
+# each, which cross the reference generators' blocks of 8,192 rows and end
+# on a lone row, then of that tree's node boxes (every face and the root's
+# upper corner), the density at 10^4 unconditional draws, and the README's
 # conditional sequence (search, marginal estimate, conditional draw) for 50
 # conditions on x3 and 50 on x1 and x3, 1,000 draws each.
 LIBRARY_DIGEST = LIBRARY_TREE + """
 import hashlib
 rows = np.random.default_rng(8).integers(data.shape[0], size=100)
-digest = hashlib.sha256(tree.lower.tobytes() + tree.upper.tobytes())
+digest = hashlib.sha256(dt.sample_gaussian(dt.GaussianSpec(mu=np.ones(3), cov=cov), 10, 2 * 8192 + 1).tobytes())
+digest.update(dt.sample_dirichlet(dt.DirichletSpec(alpha=np.array([1.25, 2.0, 0.75])), 11, 2 * 8192 + 1).tobytes())
+digest.update(tree.lower.tobytes() + tree.upper.tobytes())
 digest.update(dt.det_density_many(tree, dt.sample_unconditional(tree, 9, 10_000)).tobytes())
 for i, r in enumerate(rows.tolist()):
     cond = dt.Condition([(2, data[r, 2])] if i < 50 else [(0, data[r, 0]), (2, data[r, 2])])
